@@ -5,14 +5,23 @@ Everything here reduces to two primitive finite Fourier integrals,
     U(mu)  = integral_0^pi e^{-i mu x} dx,
     X(mu)  = integral_0^pi x e^{-i mu x} dx,
 
-evaluated in closed form away from mu = 0 and by truncated power series
-inside a configurable switch radius (the removable singularities of the
-closed forms sit exactly on the even-integer lattice in lambda). On top of
-these sit the potential's Fourier transform, the transform of its one-sided
-autocorrelation, and the characteristic functions of the unperturbed and
-perturbed operators. The odd-ratio factor entering the perturbed function
-has its own removable singularity at lambda = 0; near the origin it is
-evaluated from numerically extracted Taylor coefficients.
+evaluated only at the integer shifts mu = lam + 2j. Every such shift has the
+same exponential e = e^{-i pi lam}, so with E = 1 - e the closed forms are
+
+    U(lam + 2j) = E / (i (lam + 2j)),
+    X(lam + 2j) = -E / (lam + 2j)^2 + i pi e / (lam + 2j),
+
+and the potential's Fourier transform and the transform of its one-sided
+autocorrelation become Cauchy sums of coefficient vectors over
+1/(lam + 2j) and 1/(lam + 2j)^2, with one exponential per point (and sign,
+as lam and -lam are evaluated together). The
+removable singularities of the closed forms sit on the even-integer lattice;
+only the shift nearest the lattice can come close to one, and there a
+truncated power series replaces the closed form inside a configurable switch
+radius. On top of the transforms sit the characteristic functions of the
+unperturbed and perturbed operators. The odd-ratio factor entering the
+perturbed function has its own removable singularity at lambda = 0; near the
+origin it is evaluated from numerically extracted Taylor coefficients.
 
 All evaluators accept scalar or ndarray lambda (real or complex) and return
 complex values of matching shape.
@@ -38,6 +47,11 @@ _PI = math.pi
 # subtracts two O(pi) quantities
 _RAMP_SERIES_CUTOFF = 0.5
 _RAMP_SERIES_TERMS = 24
+# points per block of the (points x shifts) Cauchy matrix: enough for about
+# _BLOCK_ENTRIES entries, which keeps the matrix small, but at least
+# _BLOCK_POINTS, which keeps the per-block overhead small at high order
+_BLOCK_ENTRIES = 1 << 12
+_BLOCK_POINTS = 64
 
 
 def _as_lambda_array(lam):
@@ -46,52 +60,119 @@ def _as_lambda_array(lam):
     return np.atleast_1d(arr), scalar
 
 
-def _unit_transform(mu, radius, terms):
-    """integral_0^pi e^{-i mu x} dx; series inside |mu| < radius."""
-    out = np.empty_like(mu)
-    near = np.abs(mu) < radius
-    far = ~near
-    mf = mu[far]
-    out[far] = one_minus_exp(-1j * _PI * mf) / (1j * mf)
-    zn = -1j * _PI * mu[near]
-    # pi * sum z^n / (n+1)!
-    acc = np.zeros_like(zn)
-    for n in range(terms - 1, 0, -1):
-        acc = zn / (n + 1) * (1.0 + acc)
-    out[near] = _PI * (1.0 + acc)
+def _power_series(z, coefficients):
+    """sum_n coefficients[n] * z**n by Horner's rule."""
+    out = np.full_like(z, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        out = out * z + c
     return out
+
+
+def _unit_series(mu, terms):
+    # pi * sum z^n / (n+1)!, z = -i pi mu
+    coefficients = [1.0 / math.factorial(n + 1) for n in range(terms)]
+    return _PI * _power_series(-1j * _PI * mu, coefficients)
 
 
 def _ramp_series(mu, terms):
-    # pi^2 * sum (n+1) z^n / (n+2)!
-    z = -1j * _PI * mu
-    out = np.zeros_like(z)
-    fact = 2.0  # (n+2)! running value, starts at 2! for n=0
-    zp = np.ones_like(z)
-    for n in range(terms):
-        if n > 0:
-            fact *= n + 2
-            zp = zp * z
-        out = out + (n + 1) / fact * zp
-    return _PI * _PI * out
+    # pi^2 * sum (n+1) z^n / (n+2)!, z = -i pi mu
+    coefficients = [(n + 1) / math.factorial(n + 2) for n in range(terms)]
+    return _PI * _PI * _power_series(-1j * _PI * mu, coefficients)
 
 
-def _ramp_transform(mu, radius, terms):
-    """integral_0^pi x e^{-i mu x} dx; series inside |mu| < radius.
+def _nearest_shift_values(r, big_e, radius, terms):
+    """U(r) and X(r) at the shift nearest the lattice, |Re r| <= 1.
 
-    The closed form subtracts two O(pi) terms, so a full-precision series is
-    used on a fixed inner window regardless of the configured switch radius.
+    U switches to its series inside the switch radius. The closed form of X
+    subtracts two O(pi) terms, so X also uses a full-precision series on a
+    fixed inner window regardless of the configured radius.
     """
-    out = np.empty_like(mu)
-    near = np.abs(mu) < radius
-    mid = (~near) & (np.abs(mu) < _RAMP_SERIES_CUTOFF)
-    far = (~near) & (~mid)
-    mf = mu[far]
-    unit_far = one_minus_exp(-1j * _PI * mf) / (1j * mf)
-    out[far] = (unit_far - _PI * np.exp(-1j * _PI * mf)) / (1j * mf)
-    out[mid] = _ramp_series(mu[mid], _RAMP_SERIES_TERMS)
-    out[near] = _ramp_series(mu[near], terms)
-    return out
+    size = np.abs(r)
+    near = size < radius
+    mid = ~near & (size < _RAMP_SERIES_CUTOFF)
+    far = ~near & ~mid
+    u = np.empty_like(r)
+    x = np.empty_like(r)
+    u[~near] = -1j * big_e[~near] / r[~near]
+    u[near] = _unit_series(r[near], terms)
+    rf = r[far]
+    x[far] = (1j * _PI * (1.0 - big_e[far]) - big_e[far] / rf) / rf
+    x[mid] = _ramp_series(r[mid], _RAMP_SERIES_TERMS)
+    x[near] = _ramp_series(r[near], terms)
+    return u, x
+
+
+def _lattice_offset(lam):
+    """n = round(Re lam / 2) and r = lam - 2n, which is exact; all the
+    exponentials e^{+-i pi lam} equal e^{+-i pi r}."""
+    n = np.round(lam.real / 2.0)
+    return n, lam - 2.0 * n
+
+
+def _transforms(spec, lam, radius, terms):
+    """(E, F, AC) at lam and at -lam, as one array of shape (3, 2) + lam.shape.
+
+    lam is a complex array; in each of E = 1 - e^{-i pi lam}, F and AC, row 0
+    holds the values at lam and row 1 those at -lam.
+
+    With n = round(Re lam / 2), r = lam - 2n is exact and
+    e^{-i pi lam} = e^{-i pi r}, so one exponential per point and sign serves
+    every shift. Both signs share the Cauchy matrix 1/(lam + 2j), since
+    1/(-lam + 2j) = -1/(lam - 2j); its column j = -n, the one nearest the
+    lattice, is left out of the sums and evaluated on its own. The matrix is
+    formed in blocks of points, so it stays small. Every step maps exactly
+    onto its conjugate under lam -> conj(lam), which swaps the two rows.
+    """
+    ms, amps = exp_coefficients(spec)
+    shifts, ce, cf = _autocorr_tables(spec)
+    # columns F, CE, CF at lam + 2j; the shift set is symmetric, so the
+    # reversed table holds the coefficients at -lam + 2j = -(lam - 2j). Both
+    # tables are contiguous and each sign gets its own products below, so
+    # both signs take the same BLAS path and a conjugate point reproduces
+    # the other sign's sums exactly.
+    coeffs = np.stack([amps[np.argsort(-ms)], ce, cf], axis=1)
+    tables = (coeffs, coeffs[::-1].copy())
+
+    shape = lam.shape
+    lam = lam.ravel()
+    n, r = _lattice_offset(lam)
+    out = np.empty((3, 2, len(lam)), dtype=complex)
+    big_e = out[0]
+    big_e[0] = one_minus_exp(-1j * _PI * r)
+    big_e[1] = one_minus_exp(1j * _PI * r)
+    nearest = [
+        _nearest_shift_values(r, big_e[0], radius, terms),
+        _nearest_shift_values(-r, big_e[1], radius, terms),
+    ]
+    step = max(_BLOCK_POINTS, _BLOCK_ENTRIES // max(1, len(shifts)))
+    for lo in range(0, len(lam), step):
+        blk = slice(lo, lo + step)
+        mu = lam[blk, None] + 2.0 * shifts
+        near = shifts == -n[blk, None]  # at most one column per row
+        mu[near] = 1.0
+        inv = 1.0 / mu
+        inv[near] = 0.0
+        inv2 = inv * inv
+        picked = near.astype(float)
+        for sign, table in enumerate(tables):
+            # sums of table[j] / (+-lam + 2j) and its square, and the
+            # coefficients at the nearest shift; at -lam the first power
+            # changes sign, which goes into the factors in front of it
+            s1 = inv @ table
+            s2 = inv2 @ table[:, 2]
+            c = picked @ table
+            eb = big_e[sign, blk]
+            u, x = (v[blk] for v in nearest[sign])
+            front = (-1j, 1j)[sign] * eb
+            out[1, sign, blk] = front * s1[:, 0] + c[:, 0] * u
+            out[2, sign, blk] = (
+                front * s1[:, 1]
+                - eb * s2
+                + (1j * _PI, -1j * _PI)[sign] * (1.0 - eb) * s1[:, 2]
+                + c[:, 1] * u
+                + c[:, 2] * x
+            )
+    return out.reshape((3, 2) + shape)
 
 
 def fourier_transform(
@@ -102,10 +183,7 @@ def fourier_transform(
 ):
     """integral_0^pi e^{-i lam x} v(x) dx, entire in lam."""
     arr, scalar = _as_lambda_array(lam)
-    ms, amps = exp_coefficients(spec)
-    out = np.zeros_like(arr)
-    for m, a in zip(ms, amps):
-        out = out + a * _unit_transform(arr - 2.0 * m, radius, terms)
+    out = _transforms(spec, arr, radius, terms)[1, 0].copy()
     return out[0] if scalar else out
 
 
@@ -130,29 +208,23 @@ def _autocorr_tables(spec: PotentialSpec):
 
         AC(lam) = sum_j CE[j] * U(lam + 2j) + CF[j] * X(lam + 2j),
 
-    and the O(K^2) pair interactions are folded into CE/CF once per spec.
+    and the O(K^2) pair interactions a_m a_n / (2i(m+n)) are folded into CE
+    once per spec, by row (shift m) and column (shift -n) sums. The shifts
+    are the potential's own frequencies, a set symmetric about 0 for a real
+    potential, so reversing a table pairs m with -m.
     """
     ms, amps = exp_coefficients(spec)
-    index = {int(m): a for m, a in zip(ms, amps)}
-    ce: dict[int, complex] = {}
-    cf: dict[int, complex] = {}
-    for m, am in index.items():
-        b = am * index.get(-m, 0.0)
-        if b != 0.0:
-            ce[m] = ce.get(m, 0.0) + _PI * b
-            cf[m] = cf.get(m, 0.0) - b
-        for n, an in index.items():
-            if m + n == 0:
-                continue
-            c = am * an / (2j * (m + n))
-            ce[m] = ce.get(m, 0.0) + c
-            ce[-n] = ce.get(-n, 0.0) - c
-    shifts = sorted(set(ce) | set(cf))
-    return (
-        np.asarray(shifts, dtype=int),
-        np.asarray([ce.get(j, 0.0) for j in shifts], dtype=complex),
-        np.asarray([cf.get(j, 0.0) for j in shifts], dtype=complex),
-    )
+    order = np.argsort(ms)
+    shifts, a = ms[order], amps[order]
+    b = a * a[::-1]
+    total = shifts[:, None] + shifts[None, :]
+    pair = total != 0
+    c = np.zeros(total.shape, dtype=complex)
+    c[pair] = np.outer(a, a)[pair] / (2j * total[pair])
+    ce = _PI * b + c.sum(axis=1) - c.sum(axis=0)[::-1]
+    # real potential: CE[-j] = conj(CE[j]), imposed exactly
+    ce = 0.5 * (ce + np.conj(ce[::-1]))
+    return shifts, ce, -b
 
 
 def autocorr_transform(
@@ -164,14 +236,7 @@ def autocorr_transform(
     """Transform of the one-sided autocorrelation of the potential,
     integral_0^pi e^{-i lam x} g(x) dx with g(x) = integral_x^pi v(t-x)v(t) dt."""
     arr, scalar = _as_lambda_array(lam)
-    shifts, ce, cf = _autocorr_tables(spec)
-    out = np.zeros_like(arr)
-    for j, a, b in zip(shifts, ce, cf):
-        mu = arr + 2.0 * j
-        if a != 0.0:
-            out = out + a * _unit_transform(mu, radius, terms)
-        if b != 0.0:
-            out = out + b * _ramp_transform(mu, radius, terms)
+    out = _transforms(spec, arr, radius, terms)[2, 0].copy()
     return out[0] if scalar else out
 
 
@@ -189,28 +254,55 @@ def autocorr_transform_star(
 def char_unperturbed(lam):
     """Characteristic function of the unperturbed operator: 2(1 - cos lam pi).
 
-    Evaluated as (1 - e^{i lam pi}) + (1 - e^{-i lam pi}) so the double zeros
-    on the even-integer lattice are formed without cancellation.
+    Evaluated as (1 - e^{i r pi}) + (1 - e^{-i r pi}), with r the exact
+    offset of lam from the nearest even integer, so the double zeros on the
+    even-integer lattice are formed without cancellation.
     """
     arr, scalar = _as_lambda_array(lam)
-    out = one_minus_exp(1j * _PI * arr) + one_minus_exp(-1j * _PI * arr)
+    r = _lattice_offset(arr)[1]
+    out = one_minus_exp(1j * _PI * r) + one_minus_exp(-1j * _PI * r)
     return out[0] if scalar else out
 
 
-def _edge_factor(spec, lam, radius, terms):
-    """R(lam) = (1 - e^{-i lam pi}) { AC(lam)(1 - e^{i lam pi}) - F(lam) F*(lam) }."""
-    ft = fourier_transform(spec, lam, radius, terms)
-    fts = np.conj(fourier_transform(spec, np.conj(lam), radius, terms))
-    ac = autocorr_transform(spec, lam, radius, terms)
-    return one_minus_exp(-1j * _PI * lam) * (
-        ac * one_minus_exp(1j * _PI * lam) - ft * fts
+def _edge_factors(spec, lam, radius, terms):
+    """R(lam) and R(-lam), where
+
+        R(lam) = (1 - e^{-i lam pi}) { AC(lam)(1 - e^{i lam pi}) - F(lam) F*(lam) }.
+
+    The potential is real, so F*(lam) = F(-lam) and one evaluation of the
+    transforms at +-lam serves both factors.
+    """
+    (e_plus, e_minus), (f_plus, f_minus), (ac_plus, ac_minus) = _transforms(
+        spec, lam, radius, terms
+    )
+    # F(lam) F(-lam), formed in real arithmetic so that it does not depend on
+    # the order of the factors (numpy's complex multiply may fuse, and then
+    # x * y and y * x can differ in the last bit)
+    product = (f_plus.real * f_minus.real - f_plus.imag * f_minus.imag) + 1j * (
+        f_plus.real * f_minus.imag + f_plus.imag * f_minus.real
+    )
+    return (
+        e_plus * (ac_plus * e_minus - product),
+        e_minus * (ac_minus * e_plus - product),
     )
 
 
+def _edge_factor(spec, lam, radius, terms):
+    """R(lam) on a 1-d complex array (see _edge_factors)."""
+    return _edge_factors(spec, lam, radius, terms)[0]
+
+
 def _odd_ratio_direct(spec, lam, radius, terms):
-    """(R(lam) - R(-lam)) / (2i lam), valid away from lam = 0."""
-    r_plus = _edge_factor(spec, lam, radius, terms)
-    r_minus = _edge_factor(spec, -lam, radius, terms)
+    """(R(lam) - R(-lam)) / (2i lam), valid away from lam = 0.
+
+    The ratio is even; it is evaluated at the member of +-lam with Re lam > 0
+    (Im lam > 0 on the imaginary axis), so it comes out exactly even. As
+    conj(lam) is then evaluated from the conjugate member, it also comes out
+    exactly star-symmetric.
+    """
+    flip = (lam.real < 0.0) | ((lam.real == 0.0) & (lam.imag < 0.0))
+    lam = np.where(flip, -lam, lam)
+    r_plus, r_minus = _edge_factors(spec, lam, radius, terms)
     return (r_plus - r_minus) / (2j * lam)
 
 
@@ -286,17 +378,20 @@ def char_perturbed(ctx: CharContext, lam):
     return out[0] if scalar else out
 
 
-def secular_function(alpha: float, norms: Mapping[int, float], z: float) -> float:
+def secular_function(alpha: float, norms: Mapping[int, float], z):
     """1 + alpha * sum_k ||v_k||^2 / (4k^2 - z) over levels with positive norm.
 
-    Raises PoleError when z hits one of the active poles exactly.
+    z may be a scalar (a float comes back) or an array (an array of the same
+    shape comes back). Raises PoleError when z hits one of the active poles
+    exactly.
     """
-    total = 0.0
-    for k, nrm in norms.items():
-        if nrm <= 0.0:
-            continue
-        pole = 4.0 * k * k
-        if z == pole:
-            raise PoleError(f"secular function evaluated at its pole z={pole}")
-        total += nrm / (pole - z)
-    return 1.0 + alpha * total
+    active = [(4.0 * k * k, nrm) for k, nrm in norms.items() if nrm > 0.0]
+    poles = np.array([p for p, _ in active])
+    weights = np.array([nrm for _, nrm in active])
+    zs = np.asarray(z)
+    gaps = poles - zs[..., None]
+    if np.any(gaps == 0.0):
+        hit = np.intersect1d(zs, poles)[0]
+        raise PoleError(f"secular function evaluated at its pole z={hit}")
+    out = 1.0 + alpha * np.sum(np.divide(weights, gaps, out=gaps), axis=-1)
+    return out.item() if zs.ndim == 0 else out

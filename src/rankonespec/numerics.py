@@ -3,7 +3,7 @@ Gauss-Legendre quadrature, and the bracketed bisection + safeguarded-Newton
 root finder used by the secular solver.
 
 All complex helpers accept scalars or ndarrays and are stable near their
-removable singularities (evaluated by truncated power series there).
+removable singularities (numpy's expm1 keeps full relative accuracy there).
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-_SERIES_CUTOFF = 0.5
-_SERIES_TERMS = 22
-
 
 def _as_complex_array(z):
     z = np.asarray(z, dtype=complex)
@@ -28,31 +25,16 @@ def _as_complex_array(z):
 def one_minus_exp(z):
     """1 - e**z, computed without cancellation near z = 0."""
     z, scalar = _as_complex_array(z)
-    out = np.empty_like(z)
-    near = np.abs(z) < _SERIES_CUTOFF
-    far = ~near
-    out[far] = 1.0 - np.exp(z[far])
-    zn = z[near]
-    # -(z + z^2/2! + z^3/3! + ...) by Horner from the last term
-    acc = np.zeros_like(zn)
-    for n in range(_SERIES_TERMS, 0, -1):
-        acc = zn / n * (1.0 + acc)
-    out[near] = -acc
+    out = -np.expm1(z)
     return out[0] if scalar else out
 
 
 def expm1_over(z):
     """(e**z - 1)/z with the removable singularity at z = 0 filled in."""
     z, scalar = _as_complex_array(z)
-    out = np.empty_like(z)
-    near = np.abs(z) < _SERIES_CUTOFF
-    far = ~near
-    out[far] = (np.exp(z[far]) - 1.0) / z[far]
-    zn = z[near]
-    acc = np.zeros_like(zn)
-    for n in range(_SERIES_TERMS, 1, -1):
-        acc = zn / n * (1.0 + acc)
-    out[near] = 1.0 + acc
+    out = np.ones_like(z)
+    nonzero = z != 0.0
+    out[nonzero] = np.expm1(z[nonzero]) / z[nonzero]
     return out[0] if scalar else out
 
 

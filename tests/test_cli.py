@@ -70,6 +70,26 @@ def test_oracle_compare(tmp_path, const_op_file):
     assert report["max_deviation"] <= 1e-8
 
 
+def test_oracle_compare_merged_cluster(tmp_path):
+    # the reduced level 36 and the secular root 36 + 1e-8 lie closer than the
+    # oracle's cluster radius, so the oracle reports one cluster (36, 2)
+    op = OperatorSpec(1.0, build_potential(0.8, [(1, 0.6, 0.0), (3, 1e-4, 0.0)]))
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(op.to_dict()))
+    out = tmp_path / "cmp.json"
+    rc = main(["oracle-compare", "--input", str(path), "--window", "64", "--output", str(out)])
+    assert rc == 0
+    report = read_json(out)
+    assert report["passed"] is True
+    assert report["max_deviation"] <= 1e-8
+    merged = [row for row in report["entries"] if abs(row["z_solver"] - 36.0) < 1e-6]
+    assert [row["m_solver"] for row in merged] == [1, 1]
+    assert all(row["m_oracle"] == 2 for row in merged)
+    assert sum(row["m_solver"] for row in report["entries"]) == sum(
+        e.multiplicity for e in classify_spectrum(op, 64.0).entries
+    )
+
+
 def test_inverse_round_trip(tmp_path):
     v = build_potential(0.6, [(1, 0.64, 0.48)])
     order = 16

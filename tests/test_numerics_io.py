@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,18 @@ from rankonespec.numerics import (
     integrate,
     one_minus_exp,
 )
+
+
+def _expm1_exact(z: complex) -> complex:
+    """e**z - 1 from its Taylor series in exact rational arithmetic, |z| <= 1."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    term_re, term_im = Fraction(1), Fraction(0)
+    total_re, total_im = Fraction(0), Fraction(0)
+    for n in range(1, 40):
+        term_re, term_im = (term_re * x - term_im * y) / n, (term_re * y + term_im * x) / n
+        total_re += term_re
+        total_im += term_im
+    return complex(float(total_re), float(total_im))
 
 
 class TestStableExponentials:
@@ -33,6 +46,14 @@ class TestStableExponentials:
         vec = one_minus_exp(zs)
         for z, v in zip(zs, vec):
             assert one_minus_exp(z) == pytest.approx(v, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "z", [1e-9j, -0.49j, 0.5, -0.5, 0.5j, 0.3 + 0.4j, -0.4 - 0.3j, 0.2 + 0.4j]
+    )
+    def test_relative_accuracy_near_zero(self, z):
+        exact = _expm1_exact(z)
+        assert abs(-one_minus_exp(z) - exact) <= 1e-15 * abs(exact)
+        assert abs(expm1_over(z) - exact / z) <= 1e-15 * abs(exact / z)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-5, 5), st.floats(-5, 5))
