@@ -4,9 +4,10 @@ from two spectra, and check/synthesize admissible spectral data.
 
 For a finite-order potential the secular function is the exact rational
 ratio of two finite products, so every recovery step below is algebraically
-exact up to root-solving precision: the normalization constant is fixed by
-the high-imaginary-axis limit, and per-level weights are residues of the
-product form with the singular factor cancelled analytically.
+exact up to root-solving precision: the normalization constant is the
+closed-form limit of the product along the imaginary axis, and per-level
+weights are residues of the product form with the singular factor cancelled
+analytically.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .potential import OperatorSpec, PotentialSpec, build_potential
 from .spectrum import ClassifiedSpectrum, SpectrumClass, WeightTable
 
 _PI_SQ = math.pi ** 2
-_LIMIT_Y = 1e8  # imaginary-axis height fixing the normalization constant
 CONSISTENCY_TOL = 1e-6
 
 
@@ -128,14 +128,30 @@ def _ratio_product(data: SpectralData, z: complex) -> complex:
     return out
 
 
+def _pairs(data: SpectralData):
+    """Nonzero active levels p, the secular roots paired with them (sorted
+    alike, as in _ratio_product), the unpaired largest root (None without a
+    level-0 pole)."""
+    poles = np.array(sorted(data.active_levels))
+    mus = np.array(sorted(data.mus))
+    nontrivial = poles[poles != 0.0]
+    m = len(nontrivial)
+    return nontrivial, mus[:m], (float(mus[m]) if len(mus) > m else None)
+
+
 def normalization_constant(data: SpectralData) -> float:
-    """Constant A making A * ratio_product -> 1 on the imaginary axis,
-    evaluated at height 1e8 with one Richardson refinement (the finite
-    product approaches its limit like 1/y)."""
-    g1 = _ratio_product(data, 1j * _LIMIT_Y)
-    g2 = _ratio_product(data, 2j * _LIMIT_Y)
-    g_inf = 2.0 * g2 - g1
-    return 1.0 / float(np.real(g_inf))
+    """Constant A making A * ratio_product -> 1 on the imaginary axis: the
+    exact z -> i inf limit of the finite product, where each paired factor
+    tends to p/mu and the unpaired root of a level-0 pole leaves -1/mu_max,
+    A = pi^2 / (prod p_j/mu_j * (-1/mu_max if level 0 is active))."""
+    return _normalization(*_pairs(data))
+
+
+def _normalization(poles, mus, extra) -> float:
+    limit = float(np.prod(poles / mus))
+    if extra is not None:
+        limit *= -1.0 / extra
+    return _PI_SQ / limit
 
 
 def spectral_ratio(data: SpectralData, z) -> complex:
@@ -146,32 +162,28 @@ def spectral_ratio(data: SpectralData, z) -> complex:
 
 def weights_from_spectrum(data: SpectralData) -> WeightTable:
     """Per-level weights X_k = alpha * ||v_k||^2 as residues of the
-    normalized ratio function, singular factor cancelled analytically."""
+    normalized ratio function, singular factor cancelled analytically.
+
+    The residue at p_i is A/pi^2 * prod_j (1 - p_i/mu_j) / prod_{l != i}
+    (1 - p_i/p_l) (times p_i without a level-0 pole, times the unpaired
+    root's factor with one). Each root factor is divided by the factor of
+    the level paired with it, (p_j/mu_j) (mu_j - p_i)/(p_j - p_i), which
+    stays near one, so the products cannot overflow at high order.
+    """
     check_interlacing(data)
-    a_const = normalization_constant(data)
-    poles = sorted(data.active_levels)
-    mus = sorted(data.mus)
-    has_zero = any(p == 0.0 for p in poles)
+    poles, mus, extra = _pairs(data)
+    a_const = _normalization(poles, mus, extra)
+    across = poles[None, :] - poles[:, None]
+    np.fill_diagonal(across, poles)  # leaves (mu_i - p_i)/mu_i on the diagonal
+    factors = (poles / mus)[None, :] * (mus[None, :] - poles[:, None]) / across
+    residues = np.prod(factors, axis=1)
+    residues *= poles if extra is None else (extra - poles) / extra
     weights: dict[int, float] = {}
-    for p in poles:
-        k = int(round(math.sqrt(p) / 2.0))
-        if p == 0.0:
-            weights[k] = -a_const / _PI_SQ
-            continue
-        num = 1.0
-        for mu in mus:
-            num *= 1.0 - p / mu
-        if not has_zero:
-            # without a level-0 pole the explicit z factor survives to z = p
-            num *= p
-        den = _PI_SQ
-        for other in poles:
-            if other == p or other == 0.0:
-                continue
-            den *= 1.0 - p / other
-        weights[k] = a_const * num / den
-    active = tuple(sorted(weights))
-    return WeightTable(weights=weights, alpha=None, active=active)
+    if extra is not None:
+        weights[0] = -a_const / _PI_SQ
+    for p, r in zip(poles.tolist(), residues.tolist()):
+        weights[int(round(math.sqrt(p) / 2.0))] = a_const * r / _PI_SQ
+    return WeightTable(weights=weights, alpha=None, active=tuple(weights))
 
 
 def alpha_and_norms(
@@ -395,8 +407,8 @@ def check_admissibility(data: SpectralData) -> AdmissibilityReport:
         )
 
     a_const = normalization_constant(data)
-    # normalization: the constant fixed at 1e8/2e8 must hold at an
-    # independent height
+    # normalization: the constant, the exact limit at i inf, must hold at a
+    # finite height
     f_probe = a_const * float(np.real(_ratio_product(data, 1j * 10 ** 7)))
     normalization_ok = abs(f_probe - 1.0) <= 1e-4
     # boundedness: y|F(iy) - 1| stays bounded along increasing heights

@@ -23,8 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateOperatorError
-from .numerics import bisect_newton, expm1_over, gauss_legendre_rule
+from .charfn import secular_function
+from .errors import DegenerateOperatorError, PoleError
+from .numerics import expm1_over, gauss_legendre_rule, secular_equation_roots
 from .potential import (
     SQRT_2_OVER_PI,
     SQRT_PI,
@@ -135,68 +136,16 @@ def weight_table(op: OperatorSpec) -> WeightTable:
     return WeightTable(weights=weights, alpha=op.alpha, active=active)
 
 
-def _secular_q(table: WeightTable) -> tuple[Callable, Callable]:
-    ks = np.array(sorted(table.active), dtype=float)
-    xs = np.array([table.weights[int(k)] for k in ks])
-    poles = 4.0 * ks * ks
-
-    def q(z: float) -> float:
-        return 1.0 + float(np.sum(xs / (poles - z)))
-
-    def dq(z: float) -> float:
-        return float(np.sum(xs / (poles - z) ** 2))
-
-    return q, dq
-
-
-def _bracket_interior(q, lo_pole, hi_pole):
-    """Sign-changing bracket strictly inside (lo_pole, hi_pole); the secular
-    function is monotone there, diverging with opposite signs at the ends."""
-    eps = 1e-10 * (1.0 + max(abs(lo_pole), abs(hi_pole)))
-    for _ in range(8):
-        a, b = lo_pole + eps, hi_pole - eps
-        if a < b and q(a) * q(b) < 0.0:
-            return a, b
-        eps *= 1e-2
-        if eps < 1e-300:
-            break
-    raise ConvergenceError(
-        f"no sign change inside pole gap ({lo_pole}, {hi_pole})"
-    )
-
-
-def _bracket_exterior(q, pole, direction):
-    """Bracket for the single root beyond the extreme pole, by doubling steps.
-
-    On the root side of the extreme pole the secular function diverges to
-    -inf and recovers to +1 at infinity, so q < 0 marks the near end."""
-    eps = 1e-10 * (1.0 + abs(pole))
-    a = pole + direction * eps
-    fa = q(a)
-    for _ in range(8):
-        if fa < 0.0:
-            break
-        eps *= 1e-2
-        a = pole + direction * eps
-        fa = q(a)
-    if fa >= 0.0:
-        raise ConvergenceError("secular function does not diverge at the extreme pole")
-    step = max(1.0, 1e-8 * abs(pole))
-    for _ in range(200):
-        b = a + direction * step
-        if fa * q(b) < 0.0:
-            return (a, b) if direction > 0 else (b, a)
-        step *= 2.0
-    raise ConvergenceError("exterior secular root not bracketed")
-
-
 def secular_roots(table: WeightTable, z_window: float) -> list[float]:
-    """All real roots of the secular function up to z_window, each solved by
-    bracketed bisection (relative tolerance 1e-12) plus a Newton polish.
+    """All real roots of q(z) = 1 + sum_k X_k/(4k^2 - z) up to z_window.
 
     Exactly one root lies in each open gap between consecutive active poles;
     one more sits above the top pole for positive coupling, below the bottom
-    pole for negative coupling.
+    pole for negative coupling. Negative coupling is solved mirrored: z -> -z
+    gives positive weights with the exterior root on top. The poles 4k^2
+    differ by exact integers, which numerics.secular_equation_roots needs to
+    solve every root at once, each as an offset from its nearer pole, to
+    within about an ulp.
     """
     if not table.active:
         raise DegenerateOperatorError(
@@ -207,21 +156,16 @@ def secular_roots(table: WeightTable, z_window: float) -> list[float]:
         alpha = math.copysign(1.0, sum(table.weights[k] for k in table.active))
     if alpha == 0.0:
         raise DegenerateOperatorError("zero coupling: operator is unperturbed")
-    poles = table.active_poles()
-    if z_window <= poles[-1]:
+    if z_window <= level_value(max(table.active)):
         raise ValueError("window must exceed the largest active pole")
-    q, dq = _secular_q(table)
-
-    roots = []
-    for lo, hi in zip(poles[:-1], poles[1:]):
-        a, b = _bracket_interior(q, lo, hi)
-        roots.append(bisect_newton(q, dq, a, b))
-    if alpha > 0:
-        a, b = _bracket_exterior(q, poles[-1], +1)
-    else:
-        a, b = _bracket_exterior(q, poles[0], -1)
-    roots.append(bisect_newton(q, dq, a, b))
-    return sorted(r for r in roots if r <= z_window)
+    sign = 1.0 if alpha > 0 else -1.0
+    levels = sorted(table.active, reverse=sign < 0)
+    x = [sign * table.weights[k] for k in levels]
+    if min(x) <= 0.0:
+        raise ValueError("active weights must be nonzero and share the coupling's sign")
+    poles = np.array([sign * level_value(k) for k in levels])
+    roots = sign * secular_equation_roots(poles, np.array(x))
+    return sorted(float(r) for r in roots if r <= z_window)
 
 
 def classify_spectrum(op: OperatorSpec, z_window: float) -> ClassifiedSpectrum:
@@ -233,19 +177,18 @@ def classify_spectrum(op: OperatorSpec, z_window: float) -> ClassifiedSpectrum:
 
     active = set(table.active)
     inactive = [k for k in levels_upto(z_window) if k not in active]
+    inactive_set = set(inactive)
 
     entries: list[SpectrumEntry] = []
-    coincident: dict[int, float] = {}
+    coincident = set()
     for mu in mus:
-        hit = None
-        for k in inactive:
-            if abs(mu - level_value(k)) <= COINCIDENCE_TOL:
-                hit = k
-                break
-        if hit is None:
-            entries.append(SpectrumEntry(mu, 1, SpectrumClass.SECULAR))
+        # levels are at least 4 apart: only the nearest can be within
+        # COINCIDENCE_TOL of a root
+        k = round(math.sqrt(max(mu, 0.0)) / 2.0)
+        if k in inactive_set and abs(mu - level_value(k)) <= COINCIDENCE_TOL:
+            coincident.add(k)
         else:
-            coincident[hit] = mu
+            entries.append(SpectrumEntry(mu, 1, SpectrumClass.SECULAR))
     for k in inactive:
         if k in coincident:
             entries.append(
@@ -401,14 +344,17 @@ def _resolvent_eigenfunction(op: OperatorSpec, z: float) -> Eigenfunction:
     """Renormalized secular eigenvector sum_k v_k(x)/(4k^2 - z): the closed
     form above is -2 lam sin(pi lam / 2) times this, so it vanishes
     identically when the root lands on the even lattice (coincidences); this
-    limit direction is the surviving eigenvector there."""
+    limit direction is the surviving eigenvector there. Levels below the
+    weight floor count as unperturbed, as in the classification, so the
+    coincident level itself carries no term."""
     spec = op.potential
+    active = weight_table(op).active
     terms = []
     c0, _ = spec.coefficient(0)
-    if c0 != 0.0:
+    if 0 in active:
         terms.append((0, c0 / SQRT_PI, 0.0))
     for k, c, s in spec.pairs:
-        if c != 0.0 or s != 0.0:
+        if k in active:
             terms.append((k, SQRT_2_OVER_PI * c, SQRT_2_OVER_PI * s))
 
     def ev(x):
@@ -437,12 +383,13 @@ def _require_member(op: OperatorSpec, entry: SpectrumEntry) -> None:
         if abs(entry.z - level_value(k)) > COINCIDENCE_TOL or k in table.active:
             raise ValueError(f"z={entry.z} is not an unperturbed level of this operator")
     if tag in (SpectrumClass.SECULAR, SpectrumClass.COINCIDENT):
-        q_val = 1.0
-        for k in table.active:
-            den = level_value(k) - entry.z
-            if den == 0.0:
-                raise ValueError(f"z={entry.z} sits on a weight-carrying level")
-            q_val += table.weights[k] / den
+        # restricted to the active levels: a near-floor inactive level with a
+        # positive norm would be a pole at a valid coincident entry
+        norms = op.potential.level_norms()
+        try:
+            q_val = secular_function(op.alpha, {k: norms[k] for k in table.active}, entry.z)
+        except PoleError:
+            raise ValueError(f"z={entry.z} sits on a weight-carrying level") from None
         if abs(q_val) > 1e-6:
             raise ValueError(f"z={entry.z} does not solve the secular equation")
     if tag is SpectrumClass.REDUCED:

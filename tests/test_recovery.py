@@ -22,7 +22,7 @@ from rankonespec.recovery import (
     weights_from_char_derivative,
     weights_from_spectrum,
 )
-from rankonespec.spectrum import classify_spectrum
+from rankonespec.spectrum import classify_spectrum, weight_table
 
 from conftest import random_operator, random_potential
 
@@ -75,6 +75,16 @@ class TestWeightsFromSpectrum:
         # which is -pi^2 * X_0 for the constant potential
         d = forward_data(OperatorSpec(1.0, CONST), 40.0)
         assert normalization_constant(d) == pytest.approx(-math.pi ** 2, rel=1e-7)
+
+    def test_weights_finite_at_order_512(self):
+        # unpaired Loewner products overflow at this order
+        rng = np.random.default_rng(512)
+        pairs = [(k, float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))) for k in range(1, 513)]
+        op = OperatorSpec(1.3, build_potential(float(rng.uniform(-1, 1)), pairs))
+        got = weights_from_spectrum(forward_data(op, 4.0 * 513 ** 2)).weights
+        want = weight_table(op).weights
+        assert all(math.isfinite(x) for x in got.values())
+        assert max(abs(got[k] - want[k]) / abs(want[k]) for k in want) <= 1e-4
 
 
 class TestAlphaAndNorms:

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankonespec import charfn
-from rankonespec.errors import DegenerateOperatorError
+from rankonespec import numerics
+from rankonespec.errors import ConvergenceError, DegenerateOperatorError
 from rankonespec.numerics import gauss_legendre_rule
 from rankonespec.potential import OperatorSpec, build_potential, evaluate
 from rankonespec.spectrum import (
     ClassifiedSpectrum,
     SpectrumClass,
+    SpectrumEntry,
+    WeightTable,
     classify_spectrum,
     eigenfunctions,
     level_multiplicity,
@@ -123,6 +128,139 @@ class TestSecularRoots:
                 assert abs(charfn.char_perturbed(ctx, lam)) <= 1e-8 * scale
 
 
+def _table(alpha, norms):
+    levels = tuple(sorted(norms))
+    return WeightTable(
+        weights={k: alpha * norms[k] for k in levels}, alpha=alpha, active=levels
+    )
+
+
+def _draw_table(rng):
+    """Random active levels up to K <= 12, |alpha| in [1e-6, 1e6] and level
+    norms in [1e-12, 1], both log-uniform."""
+    order = int(rng.integers(1, 13))
+    levels = rng.choice(order + 1, size=int(rng.integers(1, order + 2)), replace=False)
+    alpha = float(10.0 ** rng.uniform(-6.0, 6.0)) * float(rng.choice([-1.0, 1.0]))
+    norms = 10.0 ** rng.uniform(-12.0, 0.0, size=levels.size)
+    return _table(alpha, {int(k): float(n) for k, n in zip(levels, norms)})
+
+
+def _reference_roots(table, mpmath):
+    """Secular roots to 50 digits, one per bracket, by the Illinois variant
+    of regula falsi on h = (z - lo)(hi - z) q(z) (h = (z - lo) q(z) for the
+    exterior root), which is finite at the poles. Negative coupling is
+    mirrored (z -> -z), as the roots are."""
+    mp = mpmath.mp
+    mp.dps = 50
+    sign = 1 if table.alpha > 0 else -1
+    levels = sorted(table.active, key=lambda k: sign * k)
+    poles = [mp.mpf(sign * 4 * k * k) for k in levels]
+    xs = [sign * mp.mpf(table.weights[k]) for k in levels]
+
+    def q(z):
+        return 1 + sum(x / (p - z) for p, x in zip(poles, xs))
+
+    roots = []
+    for j, lo in enumerate(poles):
+        interior = j + 1 < len(poles)
+        hi = poles[j + 1] if interior else lo + 2 * sum(xs)
+
+        def h(t):
+            return t * ((hi - lo - t) if interior else 1) * q(lo + t)
+
+        a, b = mp.mpf(0), hi - lo
+        fa = -xs[j] * (b if interior else 1)
+        fb = xs[j + 1] * b if interior else h(b)
+        side = 0
+        for _ in range(500):
+            m = (a * fb - b * fa) / (fb - fa)
+            fm = h(m)
+            if fm == 0:
+                a = b = m
+                break
+            if fm < 0:
+                a, fa = m, fm
+                fb = fb / 2 if side < 0 else fb
+                side = -1
+            else:
+                b, fb = m, fm
+                fa = fa / 2 if side > 0 else fa
+                side = 1
+            if b - a <= mp.mpf(10) ** -45 * max(1, abs(lo + a)):
+                break
+        roots.append(sign * (lo + (a + b) / 2))
+    return sorted(roots)
+
+
+def _assert_interlaced(table, roots):
+    poles = table.active_poles()
+    assert len(roots) == len(poles)
+    if table.alpha > 0:
+        bounds = poles + [math.inf]
+    else:
+        bounds = [-math.inf] + poles
+    assert all(bounds[j] < roots[j] < bounds[j + 1] for j in range(len(roots)))
+
+
+class TestSecularAccuracy:
+    def test_within_eight_ulp_of_50_digit_roots(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20241018)
+        checked = 0
+        while checked < 200:
+            table = _draw_table(rng)
+            roots = secular_roots(table, math.inf)
+            exact = _reference_roots(table, mpmath)
+            for got, want in zip(roots, exact):
+                ulp = float(np.spacing(abs(float(want))))
+                assert abs(mpmath.mpf(got) - want) <= 8 * ulp, (table, got, want)
+            checked += len(exact)
+
+    def test_root_next_to_its_pole_keeps_its_offset(self):
+        # a tiny weight X_3 puts the root a few ulp above 36, at the offset
+        # X_3 / (1 + sum of the other terms at 36) up to O(offset^2)
+        alpha, norms = 4.03e-4, {0: 0.5, 3: 1.3e-10, 5: 0.5}
+        root = secular_roots(_table(alpha, norms), math.inf)[1]
+        offset = alpha * norms[3] / (1.0 - alpha * norms[0] / 36.0 + alpha * norms[5] / 64.0)
+        assert abs(root - (36.0 + offset)) <= np.spacing(36.0)
+
+    def test_offset_below_the_pole_ulp_stays_strictly_inside(self):
+        table = _table(1e-6, {0: 0.5, 12: 1e-12, 13: 0.5})
+        roots = secular_roots(table, math.inf)
+        _assert_interlaced(table, roots)
+        assert roots[1] == np.nextafter(576.0, np.inf)
+
+    @pytest.mark.parametrize("alpha", [1.0, -1.0, 7.5])
+    def test_single_pole_root_is_exact(self, alpha):
+        # the exterior bracket's bound p + X is the root itself
+        assert secular_roots(_table(alpha, {2: 1.0}), 100.0) == [16.0 + alpha]
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_STEPS", 1)
+        with pytest.raises(ConvergenceError):
+            secular_roots(_table(2.0, {0: 0.3, 1: 0.3, 4: 0.4}), 100.0)
+
+    def test_weights_against_the_coupling_sign_rejected(self):
+        table = WeightTable(weights={0: 0.5, 1: -0.5}, alpha=1.0, active=(0, 1))
+        with pytest.raises(ValueError):
+            secular_roots(table, 40.0)
+
+
+@st.composite
+def _tables(draw):
+    order = draw(st.integers(1, 12))
+    levels = draw(st.sets(st.integers(0, order), min_size=1))
+    alpha = 10.0 ** draw(st.floats(-6.0, 6.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    norms = {k: 10.0 ** draw(st.floats(-12.0, 0.0)) for k in sorted(levels)}
+    return _table(alpha, norms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_tables())
+def test_roots_interlace_property(table):
+    _assert_interlaced(table, secular_roots(table, math.inf))
+
+
 class TestClassify:
     def test_constant_unit_coupling(self):
         cs = classify_spectrum(OperatorSpec(1.0, CONST), 40.0)
@@ -162,6 +300,18 @@ class TestClassify:
                 level_multiplicity(k) for k in range(100) if level_value(k) <= window
             )
             assert cs.total_multiplicity() == unperturbed
+
+    def test_root_beside_its_own_active_pole_stays_secular(self):
+        # level 1 is active (norm 2.5e-13 > floor), so its root 4 + ~1e-13
+        # is secular, not a coincidence, although within COINCIDENCE_TOL of 4
+        op = OperatorSpec(1.0, build_potential(1.0, [(1, 5e-7, 0.0)]))
+        head = entries_as_tuples(classify_spectrum(op, 40.0))[:3]
+        assert [(m, tag) for _, m, tag in head] == [
+            (1, SpectrumClass.SECULAR),
+            (1, SpectrumClass.REDUCED),
+            (1, SpectrumClass.SECULAR),
+        ]
+        assert 0.0 < head[2][0] - 4.0 < 1e-9
 
     def test_json_round_trip(self):
         cs = classify_spectrum(OperatorSpec(0.5, COS2), 40.0)
@@ -258,6 +408,22 @@ class TestEigenfunctionRejection:
         from rankonespec.spectrum import SpectrumEntry
         bogus = SpectrumEntry(z=4.0, multiplicity=2, tag=SpectrumClass.UNCHANGED)
         with pytest.raises(ValueError):
+            eigenfunctions(op, bogus)
+
+    def test_coincidence_beside_a_near_floor_level_accepted(self):
+        # level 1 carries a norm below the floor: inactive, yet a pole of the
+        # unrestricted secular sum at the coincident z = 4
+        op = OperatorSpec(4.0, build_potential(1.0, [(1, 3e-8, 0.0)]))
+        entry = classify_spectrum(op, 40.0).entries[0]
+        assert (entry.z, entry.multiplicity, entry.tag) == (4.0, 3, SpectrumClass.COINCIDENT)
+        fns = eigenfunctions(op, entry)
+        assert len(fns) == 3
+        assert stencil_residual(op, entry, fns[-1], 4.0) < 1e-7
+
+    def test_entry_on_an_active_pole_rejected(self):
+        op = OperatorSpec(0.5, COS2)
+        bogus = SpectrumEntry(z=4.0, multiplicity=1, tag=SpectrumClass.SECULAR)
+        with pytest.raises(ValueError, match="weight-carrying"):
             eigenfunctions(op, bogus)
 
     def test_inactive_level_cannot_be_reduced(self):
