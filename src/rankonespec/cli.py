@@ -16,6 +16,7 @@ readable {"error", "detail"} record.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -115,7 +116,10 @@ def _cmd_oracle_compare(args) -> int:
     return 0 if report["passed"] else 1
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `main` call (each parse returns a fresh namespace); do not modify it."""
     parser = argparse.ArgumentParser(
         prog="rankonespec",
         description="Direct and inverse spectral problems for the periodic "
@@ -123,13 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
-        "forward": (_cmd_forward, "compute and classify the spectrum of an operator"),
-        "inverse": (_cmd_inverse, "reconstruct the operator from three spectra"),
-        "synth": (_cmd_synth, "check admissibility of a spectrum and synthesize an operator"),
-        "validate": (_cmd_validate, "evaluate identity residuals for an operator"),
-        "oracle-compare": (_cmd_oracle_compare, "compare solver eigenvalues with the matrix oracle"),
+        "forward": ("_cmd_forward", "compute and classify the spectrum of an operator"),
+        "inverse": ("_cmd_inverse", "reconstruct the operator from three spectra"),
+        "synth": ("_cmd_synth", "check admissibility of a spectrum and synthesize an operator"),
+        "validate": ("_cmd_validate", "evaluate identity residuals for an operator"),
+        "oracle-compare": ("_cmd_oracle_compare", "compare solver eigenvalues with the matrix oracle"),
     }
-    for name, (fn, help_text) in specs.items():
+    for name, (handler, help_text) in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", help="output JSON path (stdout when omitted)")
@@ -139,14 +143,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--emit-plot", action="store_true", help="write CSV plot samples next to the output"
         )
-        p.set_defaults(handler=fn)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # the handler is looked up by name on every call, so rebinding it on
+        # the module (a test double, a tracing wrapper) outlives the cache
+        return globals()[args.handler](args)
     except (SpectralError, ValueError, OSError) as exc:
         payload = {"error": type(exc).__name__, "detail": {"message": str(exc)}}
         if args.output:

@@ -112,13 +112,22 @@ def oracle_comparison(
 
     The oracle merges eigenvalues closer than cluster_radius into one
     cluster, so solver entries that close are grouped the same way: each
-    group is matched with one oracle cluster, its multiplicities must add up
-    to the cluster's, and every entry in it is compared with the cluster.
+    group is matched with one oracle cluster and its multiplicities must add
+    up to the cluster's. Inside a group the solver values, each repeated by
+    its multiplicity, are compared in ascending order with the raw oracle
+    eigenvalues of the cluster, not with their mean, so a secular root
+    within cluster_radius of a reduced level is not charged half their gap.
+    Each row's z_oracle is its matched eigenvalue farthest from z_solver.
     """
     if n is None:
         n = max(op.potential.K + 8, int(math.ceil(2.0 * math.sqrt(max(window, 4.0)))) + 16)
     solver = [(e.z, e.multiplicity) for e in classify_spectrum(op, window).entries]
-    truth = [(z, m) for z, m in oracle.oracle_spectrum(op, n, cluster_radius) if z <= window]
+    values = oracle.jacobi_eigenvalues(oracle.truncated_matrix(op, n))
+    clusters = oracle.cluster_eigenvalues(values, cluster_radius)
+    ends = np.cumsum([m for _, m in clusters])
+    truth = [
+        (z, m, values[end - m:end].tolist()) for (z, m), end in zip(clusters, ends) if z <= window
+    ]
     groups: list[list[tuple[float, int]]] = []
     for zs, ms in solver:
         if groups and zs - groups[-1][-1][0] <= cluster_radius:
@@ -128,9 +137,15 @@ def oracle_comparison(
     rows = []
     max_dev = 0.0
     structure_ok = len(groups) == len(truth)
-    for group, (zo, mo) in zip(groups, truth):
+    for group, (_, mo, raw) in zip(groups, truth):
         structure_ok = structure_ok and sum(ms for _, ms in group) == mo
+        start = 0
         for zs, ms in group:
+            # a group with more entries than the cluster fails the structure
+            # check; its surplus entries meet the cluster's top eigenvalue
+            matched = raw[min(start, mo - 1):start + ms]
+            start += ms
+            zo = max(matched, key=lambda z: abs(zs - z))
             dev = abs(zs - zo)
             max_dev = max(max_dev, dev)
             rows.append({"z_solver": zs, "m_solver": ms, "z_oracle": zo, "m_oracle": mo, "deviation": dev})

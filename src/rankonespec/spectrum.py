@@ -227,34 +227,30 @@ def _segment_transforms(spec, lam, x):
     return jp, jm
 
 
-def _secular_u(spec, lam, x):
-    """Closed-form eigenfunction for a secular eigenvalue z = lam^2:
-    u(x) = int_0^x cos(lam(pi/2 - x + t)) v(t) dt
-         + int_x^pi cos(lam(pi/2 - t + x)) v(t) dt."""
-    jp, jm = _segment_transforms(spec, lam, x)
-    jp_pi, jm_pi = _segment_transforms(spec, lam, np.array([math.pi]))
-    jp_pi, jm_pi = jp_pi[0], jm_pi[0]
+def _secular_phase_terms(spec, lam, x):
+    """The four phase-weighted segment integrals that u and u' combine."""
+    jp, jm = _segment_transforms(spec, lam, np.append(x, math.pi))
+    jp_pi, jm_pi = jp[-1], jm[-1]
+    jp, jm = jp[:-1].reshape(np.shape(x)), jm[:-1].reshape(np.shape(x))
     # inverse phases formed explicitly: lam may be imaginary (negative z)
     ph_a = np.exp(1j * lam * (math.pi / 2.0 - x))
     ph_a_inv = np.exp(-1j * lam * (math.pi / 2.0 - x))
     ph_b = np.exp(1j * lam * (math.pi / 2.0 + x))
     ph_b_inv = np.exp(-1j * lam * (math.pi / 2.0 + x))
-    first = 0.5 * (ph_a * jp + ph_a_inv * jm)
-    second = 0.5 * (ph_b * (jm_pi - jm) + ph_b_inv * (jp_pi - jp))
-    return first + second
+    return ph_a * jp, ph_a_inv * jm, ph_b * (jm_pi - jm), ph_b_inv * (jp_pi - jp)
+
+
+def _secular_u(spec, lam, x):
+    """Closed-form eigenfunction for a secular eigenvalue z = lam^2:
+    u(x) = int_0^x cos(lam(pi/2 - x + t)) v(t) dt
+         + int_x^pi cos(lam(pi/2 - t + x)) v(t) dt."""
+    a, a_inv, b, b_inv = _secular_phase_terms(spec, lam, x)
+    return 0.5 * (a + a_inv) + 0.5 * (b + b_inv)
 
 
 def _secular_u_prime(spec, lam, x):
-    jp, jm = _segment_transforms(spec, lam, x)
-    jp_pi, jm_pi = _segment_transforms(spec, lam, np.array([math.pi]))
-    jp_pi, jm_pi = jp_pi[0], jm_pi[0]
-    ph_a = np.exp(1j * lam * (math.pi / 2.0 - x))
-    ph_a_inv = np.exp(-1j * lam * (math.pi / 2.0 - x))
-    ph_b = np.exp(1j * lam * (math.pi / 2.0 + x))
-    ph_b_inv = np.exp(-1j * lam * (math.pi / 2.0 + x))
-    first = (ph_a * jp - ph_a_inv * jm) / 2j
-    second = (ph_b * (jm_pi - jm) - ph_b_inv * (jp_pi - jp)) / 2j
-    return lam * (first - second)
+    a, a_inv, b, b_inv = _secular_phase_terms(spec, lam, x)
+    return lam * ((a - a_inv) / 2j - (b - b_inv) / 2j)
 
 
 @dataclass(frozen=True)

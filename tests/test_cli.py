@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from rankonespec.cli import main
+from rankonespec import cli
+from rankonespec.cli import build_parser, main
 from rankonespec.io import dumps_canonical, read_json
 from rankonespec.potential import OperatorSpec, build_potential, companions
 from rankonespec.spectrum import classify_spectrum
@@ -88,6 +89,52 @@ def test_oracle_compare_merged_cluster(tmp_path):
     assert sum(row["m_solver"] for row in report["entries"]) == sum(
         e.multiplicity for e in classify_spectrum(op, 64.0).entries
     )
+
+
+def test_oracle_compare_near_floor_merged_cluster(tmp_path):
+    # level 1 carries weight 9e-8, so its secular root sits 8.7e-8 above
+    # the reduced level 4 and the oracle merges them into (4.00000004, 2);
+    # compared with that mean, each entry would be off by half their gap
+    op = OperatorSpec(1.0, build_potential(0.0, [(1, 3e-4, 0.0), (3, 1.0, 0.0)]))
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(op.to_dict()))
+    out = tmp_path / "cmp.json"
+    rc = main(["oracle-compare", "--input", str(path), "--window", "64", "--output", str(out)])
+    assert rc == 0
+    report = read_json(out)
+    assert report["passed"] is True
+    assert report["max_deviation"] <= 1e-12
+    merged = [row for row in report["entries"] if abs(row["z_solver"] - 4.0) < 1e-6]
+    assert [row["m_solver"] for row in merged] == [1, 1]
+    assert all(row["m_oracle"] == 2 for row in merged)
+    assert merged[0]["z_oracle"] == 4.0
+    assert merged[1]["z_oracle"] == pytest.approx(4.0 + 8.7e-8, abs=1e-9)
+    assert all(row["deviation"] == abs(row["z_solver"] - row["z_oracle"]) for row in report["entries"])
+
+
+def test_parser_built_once_and_options_do_not_leak(tmp_path, const_op_file):
+    assert build_parser() is build_parser()
+    first = tmp_path / "first.json"
+    rc = main([
+        "forward", "--input", str(const_op_file), "--window", "20",
+        "--output", str(first), "--emit-plot",
+    ])
+    assert rc == 0
+    assert read_json(first)["window"] == 20.0
+    assert (tmp_path / "first.csv").exists()
+    second = tmp_path / "second.json"
+    rc = main(["forward", "--input", str(const_op_file), "--output", str(second)])
+    assert rc == 0
+    assert read_json(second)["window"] == 40.0  # the K=0 default
+    assert not (tmp_path / "second.csv").exists()
+
+
+def test_handler_rebound_after_parser_is_cached(monkeypatch, const_op_file):
+    build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_forward", lambda args: calls.append(args.input) or 0)
+    assert main(["forward", "--input", str(const_op_file)]) == 0
+    assert calls == [str(const_op_file)]
 
 
 def test_inverse_round_trip(tmp_path):

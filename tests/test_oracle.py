@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rankonespec.errors import ConvergenceError
 from rankonespec.oracle import (
     cluster_eigenvalues,
     jacobi_eigenvalues,
@@ -17,6 +18,78 @@ from conftest import random_operator
 
 CONST = build_potential(1.0)
 COS2 = build_potential(0.0, [(1, 1.0, 0.0)])
+
+
+def full_matrix_jacobi(a, tol=1e-12, max_sweeps=100):
+    """Reference: the cyclic sweep over every pair of the whole matrix,
+    without deflation."""
+    a = np.array(a, dtype=float)
+    dim = a.shape[0]
+    off_mask = ~np.eye(dim, dtype=bool)
+    for _ in range(max_sweeps):
+        if math.sqrt(float(np.sum(a[off_mask] ** 2))) <= tol:
+            return np.sort(np.diag(a))
+        for p in range(dim - 1):
+            for q in range(p + 1, dim):
+                apq = a[p, q]
+                if abs(apq) < 1e-30:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rot_p = c * a[p, :] - s * a[q, :]
+                rot_q = s * a[p, :] + c * a[q, :]
+                a[p, :], a[q, :] = rot_p, rot_q
+                col_p = c * a[:, p] - s * a[:, q]
+                col_q = s * a[:, p] + c * a[:, q]
+                a[:, p], a[:, q] = col_p, col_q
+                a[p, q] = a[q, p] = 0.0
+    raise ConvergenceError("reference sweep limit exceeded")
+
+
+def cluster_loop(values, cluster_radius=1e-6):
+    """Reference: the per-element clustering loop."""
+    vals = np.sort(np.asarray(values, dtype=float))
+    out = []
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i] - vals[i - 1] > cluster_radius:
+            chunk = vals[start:i]
+            out.append((float(np.mean(chunk)), len(chunk)))
+            start = i
+    return out
+
+
+def _operator(rng, order, active):
+    """Random operator with the given active levels, order among them."""
+    c0 = float(rng.standard_normal()) if 0 in active else 0.0
+    terms = [(k, *map(float, rng.standard_normal(2))) for k in sorted(active) if k]
+    alpha = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.25, 5.0))
+    return OperatorSpec(alpha, build_potential(c0, terms))
+
+
+def truncated_operators(seed=7):
+    """Audit-style sparse (four active levels) and dense operators at
+    K <= 16, truncated as oracle_comparison truncates them and tighter."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for order in (1, 3, 8, 12, 16):
+        sparse = {order, *map(int, rng.choice(order, size=min(3, order), replace=False))}
+        for active in (sparse, set(range(order + 1))):
+            op = _operator(rng, order, active)
+            out.extend(truncated_matrix(op, n) for n in (order + 2, 4 * order + 20))
+    return out
+
+
+def planted_decoupled(rng, dim, decoupled):
+    """Random symmetric matrix whose rows in `decoupled` touch nothing."""
+    m = rng.standard_normal((dim, dim))
+    m = 0.5 * (m + m.T)
+    m[decoupled, :] = 0.0
+    m[:, decoupled] = 0.0
+    m[decoupled, decoupled] = rng.uniform(-3.0, 3.0, len(decoupled))
+    return m
 
 
 class TestJacobi:
@@ -40,6 +113,71 @@ class TestJacobi:
     def test_diagonal_converges_immediately(self):
         ev = jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0]))
         assert np.array_equal(ev, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("a", [np.diag([3.0, -1.0, 2.0, 2.0]), np.array([[5.0]])])
+    def test_nothing_coupled_returns_at_once(self, a):
+        # no rotation and no second sweep: tol 0 and one sweep suffice
+        ev = jacobi_eigenvalues(a, tol=0.0, max_sweeps=1)
+        assert np.array_equal(ev, np.sort(np.diag(a)))
+
+
+class TestDeflation:
+    def test_truncated_operators_bit_identical(self):
+        for a in truncated_operators():
+            assert np.array_equal(jacobi_eigenvalues(a), full_matrix_jacobi(a))
+
+    def test_planted_decoupled_rows_bit_identical(self, rng):
+        for dim in (2, 6, 17, 40):
+            for _ in range(3):
+                decoupled = rng.choice(dim, size=int(rng.integers(1, dim)), replace=False)
+                a = planted_decoupled(rng, dim, decoupled)
+                ev = jacobi_eigenvalues(a)
+                assert np.array_equal(ev, full_matrix_jacobi(a))
+                assert set(np.diag(a)[decoupled]) <= set(ev)
+
+    def test_one_sided_entry_keeps_its_pair(self):
+        # within the 1e-12 symmetry tolerance only a[0, 2] is nonzero:
+        # rows 0 and 2 are both coupled, as the full sweep rotates them
+        a = np.diag([1.0, 2.0, 1.0])
+        a[0, 2] = 5e-13
+        ev = jacobi_eigenvalues(a, tol=1e-14)
+        assert np.array_equal(ev, full_matrix_jacobi(a, tol=1e-14))
+        assert ev[0] < 1.0
+
+    def test_sweep_limit_still_raises(self):
+        a = truncated_operators()[-1]
+        with pytest.raises(ConvergenceError):
+            jacobi_eigenvalues(a, max_sweeps=1)
+
+    def test_agrees_with_mpmath(self, rng):
+        mpmath = pytest.importorskip("mpmath")
+        mats = [a for a in truncated_operators(seed=3) if len(a) <= 41]
+        mats += [planted_decoupled(rng, 24, rng.choice(24, size=9, replace=False))]
+        with mpmath.workdps(40):
+            for a in mats:
+                exact = mpmath.eigsy(mpmath.matrix(a.tolist()), eigvals_only=True)
+                want = np.sort([float(x) for x in exact])
+                got = jacobi_eigenvalues(a)
+                bound = 1e-12 * max(1.0, np.linalg.norm(a, 2))
+                assert np.max(np.abs(got - want)) <= bound
+
+
+class TestClusterEigenvalues:
+    def test_matches_loop_with_planted_near_ties(self, rng):
+        for _ in range(200):
+            size = int(rng.integers(1, 60))
+            vals = np.sort(rng.uniform(-50.0, 50.0, size) * rng.choice((1e-6, 1.0, 10.0)))
+            # near-ties below, at and above the radius, chained or not
+            ties = rng.choice(size, size=size // 2)
+            vals = np.sort(np.concatenate([vals, vals[ties] + rng.choice((0.0, 1e-9, 1e-6, 2e-6), len(ties))]))
+            got = cluster_eigenvalues(vals, 1e-6)
+            want = cluster_loop(vals, 1e-6)
+            assert got == want
+            assert all(type(z) is float and type(m) is int for z, m in got)
+
+    def test_unsorted_and_empty(self):
+        assert cluster_eigenvalues(np.array([2.0, 1.0 + 1e-8, 1.0])) == cluster_loop([1.0, 1.0 + 1e-8, 2.0])
+        assert cluster_eigenvalues(np.array([])) == []
 
 
 class TestOracleSpectrum:
