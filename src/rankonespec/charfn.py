@@ -264,17 +264,16 @@ def char_unperturbed(lam):
     return out[0] if scalar else out
 
 
-def _edge_factors(spec, lam, radius, terms):
-    """R(lam) and R(-lam), where
+def _edge_factors(kernel):
+    """R(lam) and R(-lam) from the kernel output _transforms(spec, lam, ...),
+    where
 
         R(lam) = (1 - e^{-i lam pi}) { AC(lam)(1 - e^{i lam pi}) - F(lam) F*(lam) }.
 
     The potential is real, so F*(lam) = F(-lam) and one evaluation of the
     transforms at +-lam serves both factors.
     """
-    (e_plus, e_minus), (f_plus, f_minus), (ac_plus, ac_minus) = _transforms(
-        spec, lam, radius, terms
-    )
+    (e_plus, e_minus), (f_plus, f_minus), (ac_plus, ac_minus) = kernel
     # F(lam) F(-lam), formed in real arithmetic so that it does not depend on
     # the order of the factors (numpy's complex multiply may fuse, and then
     # x * y and y * x can differ in the last bit)
@@ -289,21 +288,28 @@ def _edge_factors(spec, lam, radius, terms):
 
 def _edge_factor(spec, lam, radius, terms):
     """R(lam) on a 1-d complex array (see _edge_factors)."""
-    return _edge_factors(spec, lam, radius, terms)[0]
+    return _edge_factors(_transforms(spec, lam, radius, terms))[0]
+
+
+def _flipped(lam):
+    """Where -lam is the even member of +-lam: Re lam < 0, or Im lam < 0 on
+    the imaginary axis."""
+    return (lam.real < 0.0) | ((lam.real == 0.0) & (lam.imag < 0.0))
 
 
 def _odd_ratio_direct(spec, lam, radius, terms):
-    """(R(lam) - R(-lam)) / (2i lam), valid away from lam = 0.
+    """(R(lam) - R(-lam)) / (2i lam), valid away from lam = 0, and the kernel
+    output it was formed from.
 
     The ratio is even; it is evaluated at the member of +-lam with Re lam > 0
-    (Im lam > 0 on the imaginary axis), so it comes out exactly even. As
-    conj(lam) is then evaluated from the conjugate member, it also comes out
-    exactly star-symmetric.
+    (Im lam > 0 on the imaginary axis), so it comes out exactly even, and the
+    kernel is the one at that member. As conj(lam) is then evaluated from the
+    conjugate member, the ratio also comes out exactly star-symmetric.
     """
-    flip = (lam.real < 0.0) | ((lam.real == 0.0) & (lam.imag < 0.0))
-    lam = np.where(flip, -lam, lam)
-    r_plus, r_minus = _edge_factors(spec, lam, radius, terms)
-    return (r_plus - r_minus) / (2j * lam)
+    lam = np.where(_flipped(lam), -lam, lam)
+    kernel = _transforms(spec, lam, radius, terms)
+    r_plus, r_minus = _edge_factors(kernel)
+    return (r_plus - r_minus) / (2j * lam), kernel
 
 
 class CharContext:
@@ -344,11 +350,36 @@ class CharContext:
             ring = rho * np.exp(1j * theta)
             vals = _odd_ratio_direct(
                 self.operator.potential, ring, self.singularity_radius, self.series_terms
-            )
+            )[0]
             coeffs = np.fft.fft(vals) / m
             orders = np.arange(0, 2 * self.series_terms, 2)
             self._origin_coeffs = coeffs[orders] / rho ** orders
         return self._origin_coeffs
+
+
+def _char_parts(ctx, arr):
+    """(D, D0, kernel) on a complex array: the perturbed and unperturbed
+    characteristic functions, and the kernel output that the odd-ratio
+    factor was formed from, at the even member of each point outside the
+    origin switch radius (None when there is no such point)."""
+    radius = ctx.singularity_radius
+    d0 = char_unperturbed(arr)
+    out = d0.copy()
+    near = np.abs(arr) < radius
+    far = ~near
+    kernel = None
+    if np.any(far):
+        ratio, kernel = _odd_ratio_direct(
+            ctx.operator.potential, arr[far], radius, ctx.series_terms
+        )
+        out[far] = out[far] + ctx.operator.alpha * ratio
+    if np.any(near):
+        poly = ctx.origin_coeffs()
+        u = arr[near] ** 2
+        out[near] = out[near] + ctx.operator.alpha * np.polynomial.polynomial.polyval(
+            u, poly
+        )
+    return out, d0, kernel
 
 
 def char_perturbed(ctx: CharContext, lam):
@@ -359,23 +390,47 @@ def char_perturbed(ctx: CharContext, lam):
     even Taylor series, which in particular fixes the finite value at lam = 0.
     """
     arr, scalar = _as_lambda_array(lam)
-    spec = ctx.operator.potential
-    radius = ctx.singularity_radius
-    terms = ctx.series_terms
-    out = char_unperturbed(arr)
-    near = np.abs(arr) < radius
-    far = ~near
-    if np.any(far):
-        out[far] = out[far] + ctx.operator.alpha * _odd_ratio_direct(
-            spec, arr[far], radius, terms
-        )
-    if np.any(near):
-        poly = ctx.origin_coeffs()
-        u = arr[near] ** 2
-        out[near] = out[near] + ctx.operator.alpha * np.polynomial.polynomial.polyval(
-            u, poly
-        )
+    out = _char_parts(ctx, arr)[0]
     return out[0] if scalar else out
+
+
+def _autocorr_residual(kernel):
+    """|AC + AC* - F F*| from the kernel output at lam. The potential is
+    real, so row 1 (the values at -lam) holds F* and AC* bit for bit.
+
+    At a scalar lam, pass kernel[..., 0]: numpy's scalar arithmetic can
+    differ from its array loops in the last bit, and the public transforms
+    return scalars there."""
+    _, (f, f_star), (ac, ac_star) = kernel
+    return np.abs((ac + ac_star) - f * f_star)
+
+
+def autocorr_identity_residual(spec: PotentialSpec, lam):
+    """|AC + AC* - F F*| at lam, from one pass of the transform kernel."""
+    arr, scalar = _as_lambda_array(lam)
+    kernel = _transforms(spec, arr, DEFAULT_SINGULARITY_RADIUS, DEFAULT_SERIES_TERMS)
+    return _autocorr_residual(kernel[..., 0] if scalar else kernel)
+
+
+def char_with_autocorr_residual(ctx: CharContext, lam):
+    """char_perturbed, char_unperturbed and the autocorrelation identity
+    residual |AC + AC* - F F*| at lam, as (D, D0, residual).
+
+    Where every point has Re lam > 0 and lies outside the origin switch
+    radius, as on diagnostics.identity_grid, the kernel that D is formed
+    from is the one at lam itself, and one kernel pass serves all three.
+    Elsewhere the residual takes a second pass. The residual uses the
+    context's switch radius and series length; each result equals bit for
+    bit the public evaluator's at the same settings.
+    """
+    arr, scalar = _as_lambda_array(lam)
+    d, d0, kernel = _char_parts(ctx, arr)
+    if kernel is None or kernel.shape[-1] != arr.size or np.any(_flipped(arr)):
+        kernel = _transforms(ctx.operator.potential, arr, ctx.singularity_radius, ctx.series_terms)
+    kernel = kernel.reshape((3, 2) + arr.shape)
+    if scalar:
+        return d[0], d0[0], _autocorr_residual(kernel[..., 0])
+    return d, d0, _autocorr_residual(kernel)
 
 
 def secular_function(alpha: float, norms: Mapping[int, float], z):

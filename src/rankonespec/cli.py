@@ -94,10 +94,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_validate(args) -> int:
     op = OperatorSpec.from_dict(io.read_json(args.input))
-    report = diagnostics.identity_report(op)
+    report, rows = diagnostics.identity_report_and_rows(op)
     _emit(args, report)
     if args.emit_plot:
-        rows = diagnostics.validation_csv_rows(op)
         io.write_csv(
             _plot_path(args),
             ["lambda", "char_real", "secular_factorization_residual"],

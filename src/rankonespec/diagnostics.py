@@ -28,19 +28,23 @@ def identity_grid(lam_max: float = 30.0, step: float = 0.01) -> np.ndarray:
     return grid[dist >= LATTICE_EXCLUSION]
 
 
-def _char_and_residuals(op: OperatorSpec, lam: np.ndarray):
-    """Perturbed values on lam and their factorization residuals, from one
-    evaluation of the characteristic function."""
-    ctx = charfn.CharContext(op)
-    d = charfn.char_perturbed(ctx, lam)
-    d0 = charfn.char_unperturbed(lam)
+def _factorization_residuals(op: OperatorSpec, lam: np.ndarray, d, d0) -> np.ndarray:
+    """|d - secular * d0| scaled by max(1, |d|), for the perturbed d and
+    unperturbed d0 characteristic functions on lam."""
     if op.alpha == 0.0:
         q = 1.0
     else:
         table = weight_table(op)
         norms = {k: x / op.alpha for k, x in table.weights.items()}
         q = charfn.secular_function(op.alpha, norms, lam * lam)
-    return d, np.abs(d - q * d0) / np.maximum(1.0, np.abs(d))
+    return np.abs(d - q * d0) / np.maximum(1.0, np.abs(d))
+
+
+def _char_and_residuals(op: OperatorSpec, lam: np.ndarray):
+    """Perturbed values on lam and their factorization residuals, from one
+    evaluation of the characteristic function."""
+    d = charfn.char_perturbed(charfn.CharContext(op), lam)
+    return d, _factorization_residuals(op, lam, d, charfn.char_unperturbed(lam))
 
 
 def factorization_residuals(op: OperatorSpec, lam: np.ndarray) -> np.ndarray:
@@ -49,10 +53,8 @@ def factorization_residuals(op: OperatorSpec, lam: np.ndarray) -> np.ndarray:
 
 
 def autocorr_identity_residuals(op: OperatorSpec, lam: np.ndarray) -> np.ndarray:
-    spec = op.potential
-    lhs = charfn.autocorr_transform(spec, lam) + charfn.autocorr_transform_star(spec, lam)
-    rhs = charfn.fourier_transform(spec, lam) * charfn.fourier_transform_star(spec, lam)
-    return np.abs(lhs - rhs)
+    """|AC + AC* - F F*| on lam, from one pass of the transform kernel."""
+    return charfn.autocorr_identity_residual(op.potential, lam)
 
 
 def symmetry_residuals(op: OperatorSpec, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,10 +67,12 @@ def symmetry_residuals(op: OperatorSpec, lam: np.ndarray) -> tuple[np.ndarray, n
     return np.abs(d - d_neg) / scale, np.abs(d - d_star) / scale
 
 
-def identity_report(op: OperatorSpec, lam_max: float = 30.0) -> dict:
+def identity_report_and_rows(op: OperatorSpec, lam_max: float = 30.0):
+    """identity_report and the validation_csv_rows, from one pass of the
+    transform kernel on the identity grid; the rows come as an iterator."""
     grid = identity_grid(lam_max)
-    fact = factorization_residuals(op, grid)
-    auto = autocorr_identity_residuals(op, grid)
+    d, d0, auto = charfn.char_with_autocorr_residual(charfn.CharContext(op), grid)
+    fact = _factorization_residuals(op, grid, d, d0)
     complex_grid = grid[:100] + 1j * np.linspace(-1.5, 1.5, min(100, len(grid)))
     even_r, star_r = symmetry_residuals(op, complex_grid)
     report = {
@@ -83,14 +87,18 @@ def identity_report(op: OperatorSpec, lam_max: float = 30.0) -> dict:
         and report["evenness_max"] <= 1e-10
         and report["star_symmetry_max"] <= 1e-10
     )
-    return report
+    return report, zip(grid.tolist(), d.real.tolist(), fact.tolist())
+
+
+def identity_report(op: OperatorSpec, lam_max: float = 30.0) -> dict:
+    return identity_report_and_rows(op, lam_max)[0]
 
 
 def validation_csv_rows(op: OperatorSpec, lam_max: float = 30.0):
     """(lambda, Re perturbed, factorization residual) rows for plotting."""
     grid = identity_grid(lam_max)
-    d, resid = _char_and_residuals(op, grid)
-    return [(float(l), float(v), float(r)) for l, v, r in zip(grid, d.real, resid)]
+    d, fact = _char_and_residuals(op, grid)
+    return list(zip(grid.tolist(), d.real.tolist(), fact.tolist()))
 
 
 def char_samples(op: OperatorSpec, lam_max: float = 30.0, step: float = 0.01):
@@ -98,7 +106,7 @@ def char_samples(op: OperatorSpec, lam_max: float = 30.0, step: float = 0.01):
     grid = np.arange(step, lam_max + step / 2.0, step)
     ctx = charfn.CharContext(op)
     d = np.real(charfn.char_perturbed(ctx, grid))
-    return [(float(l), float(v)) for l, v in zip(grid, d)]
+    return list(zip(grid.tolist(), d.tolist()))
 
 
 def oracle_comparison(

@@ -40,3 +40,13 @@ def random_operator(rng, max_order=8, alpha_range=(0.25, 5.0)):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def reference_csv(header, rows) -> str:
+    """CSV text with every value formatted on its own: floats with 17
+    significant digits, anything else with str(). io.write_csv must write
+    these bytes."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"

@@ -161,6 +161,30 @@ class TestCharPerturbed:
         with pytest.raises(ValueError):
             charfn.CharContext(op, series_terms=2)
 
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            identity_grid(),
+            np.array([-3.1, 0.0, 5e-5, 2.0 - 0.5j, -1.5j, 1.5j, 7.25]),
+            np.array([[0.5, -1.2], [3.0 + 1.0j, 4.0]]),
+            1.7,
+        ],
+    )
+    def test_char_with_autocorr_residual_matches_public_evaluators(self, rng, lam):
+        op = random_operator(rng)
+        spec = op.potential
+        lhs = charfn.autocorr_transform(spec, lam) + charfn.autocorr_transform_star(spec, lam)
+        rhs = charfn.fourier_transform(spec, lam) * charfn.fourier_transform_star(spec, lam)
+        d, d0, residual = charfn.char_with_autocorr_residual(charfn.CharContext(op), lam)
+        for got, ref in (
+            (d, charfn.char_perturbed(charfn.CharContext(op), lam)),
+            (d0, charfn.char_unperturbed(lam)),
+            (residual, np.abs(lhs - rhs)),
+            (charfn.autocorr_identity_residual(spec, lam), np.abs(lhs - rhs)),
+        ):
+            assert np.shape(got) == np.shape(lam)
+            assert np.array_equal(got, ref)
+
 
 class TestSecularFunction:
     def test_single_term(self):

@@ -1,13 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from rankonespec import cli
+from rankonespec import charfn, cli, diagnostics
 from rankonespec.cli import build_parser, main
 from rankonespec.io import dumps_canonical, read_json
 from rankonespec.potential import OperatorSpec, build_potential, companions
-from rankonespec.spectrum import classify_spectrum
+from rankonespec.spectrum import classify_spectrum, weight_table
+
+from conftest import reference_csv
 
 
 @pytest.fixture
@@ -49,6 +52,13 @@ def test_forward_emit_plot(tmp_path, const_op_file):
     csv = (tmp_path / "spec.csv").read_text().splitlines()
     assert csv[0] == "lambda,char_real"
     assert len(csv) > 100
+    # the samples as they were built before char_samples read tolist()
+    # columns: one float() per element
+    op = OperatorSpec.from_dict(read_json(const_op_file))
+    grid = np.arange(0.01, max(6.0, 40.0 ** 0.5) + 0.005, 0.01)
+    values = np.real(charfn.char_perturbed(charfn.CharContext(op), grid))
+    rows = [(float(l), float(v)) for l, v in zip(grid, values)]
+    assert (tmp_path / "spec.csv").read_text() == reference_csv(["lambda", "char_real"], rows)
 
 
 def test_validate(tmp_path, const_op_file):
@@ -58,8 +68,100 @@ def test_validate(tmp_path, const_op_file):
     report = read_json(out)
     assert report["passed"] is True
     assert report["secular_factorization_max"] <= 1e-9
-    header = (tmp_path / "report.csv").read_text().splitlines()[0]
-    assert header == "lambda,char_real,secular_factorization_residual"
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert lines[0] == "lambda,char_real,secular_factorization_residual"
+    assert len(lines) == len(diagnostics.identity_grid()) + 1
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.all(np.isfinite(table))
+    assert table[:, 2].max() == report["secular_factorization_max"]
+
+
+def _reference_validation(op):
+    """validate's report and CSV rows as they were computed before the one
+    kernel pass: D from char_perturbed, D0 from char_unperturbed, and the
+    autocorrelation identity from the four public transforms."""
+    grid = diagnostics.identity_grid()
+    spec = op.potential
+    d = charfn.char_perturbed(charfn.CharContext(op), grid)
+    d0 = charfn.char_unperturbed(grid)
+    if op.alpha == 0.0:
+        q = 1.0
+    else:
+        norms = {k: x / op.alpha for k, x in weight_table(op).weights.items()}
+        q = charfn.secular_function(op.alpha, norms, grid * grid)
+    fact = np.abs(d - q * d0) / np.maximum(1.0, np.abs(d))
+    lhs = charfn.autocorr_transform(spec, grid) + charfn.autocorr_transform_star(spec, grid)
+    rhs = charfn.fourier_transform(spec, grid) * charfn.fourier_transform_star(spec, grid)
+    even_r, star_r = diagnostics.symmetry_residuals(
+        op, grid[:100] + 1j * np.linspace(-1.5, 1.5, 100)
+    )
+    report = {
+        "secular_factorization_max": float(np.max(fact)),
+        "autocorr_identity_max": float(np.max(np.abs(lhs - rhs))),
+        "evenness_max": float(np.max(even_r)),
+        "star_symmetry_max": float(np.max(star_r)),
+    }
+    report["passed"] = bool(
+        report["secular_factorization_max"] <= 1e-9
+        and report["autocorr_identity_max"] <= 1e-10
+        and report["evenness_max"] <= 1e-10
+        and report["star_symmetry_max"] <= 1e-10
+    )
+    rows = [(float(l), float(v), float(r)) for l, v, r in zip(grid, d.real, fact)]
+    return report, rows
+
+
+def _validate_operators(order, count, seed):
+    """count operators of the given order, alpha cycling through 0, + and -;
+    order 0 is a potential with only c0."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        pairs = [(k, float(rng.normal()), float(rng.normal())) for k in range(1, order + 1)]
+        alpha = (0.0, 1.0, -1.0)[i % 3] * float(rng.uniform(0.25, 5.0))
+        yield OperatorSpec(alpha, build_potential(float(rng.normal()), pairs, normalize=i % 2 == 0))
+
+
+@pytest.mark.parametrize("order", [0, 1, 8, 16])
+def test_validate_bytes_match_reference(tmp_path, order):
+    header = ["lambda", "char_real", "secular_factorization_residual"]
+    for i, op in enumerate(_validate_operators(order, 13, 8100 + order)):
+        inp = tmp_path / f"op{i}.json"
+        inp.write_text(json.dumps(op.to_dict()))
+        out = tmp_path / f"report{i}.json"
+        main(["validate", "--input", str(inp), "--output", str(out), "--emit-plot"])
+        report, rows = _reference_validation(op)
+        assert out.read_text() == dumps_canonical(report)
+        assert (tmp_path / f"report{i}.csv").read_text() == reference_csv(header, rows)
+        if i < 3:
+            assert diagnostics.identity_report(op) == report
+            assert diagnostics.validation_csv_rows(op) == rows
+
+
+def test_validate_makes_one_grid_kernel_pass(tmp_path, monkeypatch):
+    op = OperatorSpec(-1.7, build_potential(0.3, [(k, 0.5 / k, 0.2) for k in range(1, 9)]))
+    inp = tmp_path / "op.json"
+    inp.write_text(json.dumps(op.to_dict()))
+    sizes = []
+    kernel = charfn._transforms
+
+    def counted(spec, lam, radius, terms):
+        sizes.append(lam.size)
+        return kernel(spec, lam, radius, terms)
+
+    monkeypatch.setattr(charfn, "_transforms", counted)
+    out = tmp_path / "report.json"
+    assert main(["validate", "--input", str(inp), "--output", str(out), "--emit-plot"]) == 0
+    grid = diagnostics.identity_grid()
+    assert sizes.count(grid.size) == 1
+    assert all(size <= 100 for size in sizes if size != grid.size)  # symmetry checks
+    for lam in (grid, np.array([-3.1, 0.0, 1e-6, 2.0 - 0.5j])):
+        sizes.clear()
+        got = diagnostics.autocorr_identity_residuals(op, lam)
+        assert sizes == [lam.size]
+        spec = op.potential
+        lhs = charfn.autocorr_transform(spec, lam) + charfn.autocorr_transform_star(spec, lam)
+        rhs = charfn.fourier_transform(spec, lam) * charfn.fourier_transform_star(spec, lam)
+        assert np.array_equal(got, np.abs(lhs - rhs))
 
 
 def test_oracle_compare(tmp_path, const_op_file):

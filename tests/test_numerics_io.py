@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_csv
+
 from rankonespec.errors import ConvergenceError
-from rankonespec.io import dumps_canonical
+from rankonespec.io import dumps_canonical, write_csv
 from rankonespec.numerics import (
     bisect_newton,
     expm1_over,
@@ -113,3 +115,40 @@ class TestCanonicalJson:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             dumps_canonical({"x": object()})
+
+
+class TestCsv:
+    FLOATS = [
+        (-0.0, 5e-324, 1e16, 1e17, 3.0, float("nan"), np.float64(0.1)),
+        (0.0, -5e-324, -1e16, -1e17, -2.0, float("inf"), np.float64(-0.0)),
+        (1e-300, 2.5e-308, 9007199254740993.0, 1e300, 1e15, float("-inf"), np.float64(1e17)),
+    ]
+
+    @pytest.mark.parametrize(
+        "header, rows",
+        [
+            (list("abcdefg"), FLOATS),
+            # a first row that is not all floats selects per-value formatting,
+            # so any later row may mix types
+            (
+                list("abcd"),
+                [
+                    (7, "x", -0.0, 1e16),
+                    (0.1, 2, "y z", 1e17),
+                    (-(10 ** 20), "", 5e-324, 4.0),
+                    (float("nan"), 3.0, np.float64(1.5), "w"),
+                ],
+            ),
+            (["x"], [(0.1,), (1 / 3,), (-1e-17,)]),
+            (["x", "y"], []),
+        ],
+    )
+    def test_bytes_match_per_value_formatting(self, tmp_path, header, rows):
+        path = tmp_path / "out.csv"
+        write_csv(path, header, iter(rows))
+        assert path.read_bytes() == reference_csv(header, rows).encode()
+
+    @pytest.mark.parametrize("bad", [(1.0, "x"), (1.0,), (1.0, 2.0, 3.0)])
+    def test_float_rows_reject_a_str_or_a_ragged_row(self, tmp_path, bad):
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "out.csv", ["a", "b"], [(0.5, 0.25), bad])
