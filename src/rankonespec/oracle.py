@@ -1,6 +1,7 @@
 """Independent ground truth: dense Galerkin truncation of the operator in its
-own eigenbasis with an in-house cyclic Jacobi eigensolver, plus a grid-scan
-root finder on the characteristic function.
+own eigenbasis with an in-house cyclic Jacobi eigensolver, plus a grid scan
+for zeros of the characteristic function, whose brackets are all refined
+together by Newton steps on its complex-step derivative.
 
 In the working basis the operator is exactly diagonal-plus-rank-one, and for
 a finite-order potential every basis level above the potential order
@@ -18,10 +19,17 @@ import numpy as np
 
 from . import charfn
 from .errors import ConvergenceError
-from .numerics import bisect_newton
 from .potential import OperatorSpec
 
 LATTICE_GUARD = 1e-3  # scan exclusion radius around even integers
+# complex step of the zero scan: Re D(x + ih) = D(x) - h^2 D''(x)/2 and
+# Im D(x + ih)/h = D'(x) - h^2 D'''(x)/6. Away from the lattice the kernel's
+# intermediates are O(1) and complex, and their rounding swamps a step of
+# 1e-20; at 1e-8 the h^2 term moves roots near the origin, where D' ~ D'' x,
+# by 1e-13 relative. 1e-10 keeps both below rounding.
+_COMPLEX_STEP = 1e-10
+_SCAN_STEPS = 64  # bisection alone takes a 0.01 bracket below an ulp in 46
+_EPS = float(np.finfo(float).eps)
 
 
 def basis_dimension(n: int) -> int:
@@ -153,11 +161,15 @@ def scan_char_zeros(
     op: OperatorSpec, lambda_max: float, grid_step: float = 0.01
 ) -> list[float]:
     """Positive real zeros of the perturbed characteristic function located
-    by sign-change bisection on a uniform grid over (0, lambda_max].
+    by sign changes on a uniform grid over (0, lambda_max].
 
     Neighborhoods of the even-integer lattice are skipped: the unperturbed
     function has double zeros there and sign changes cannot resolve them
-    (the secular path owns those points).
+    (the secular path owns those points). All brackets are refined together
+    by Newton steps on the complex-step derivative: one evaluation at
+    x + ih gives D(x) as its real part and D'(x) as its imaginary part over
+    h. A step that leaves its bracket becomes a bisection, and the sign of D
+    keeps every bracket current.
     """
     if grid_step > 0.01:
         raise ValueError("grid_step must be at most 0.01")
@@ -165,20 +177,35 @@ def scan_char_zeros(
     grid = np.arange(grid_step, lambda_max + grid_step / 2.0, grid_step)
     near_lattice = np.abs(grid / 2.0 - np.round(grid / 2.0)) * 2.0 < LATTICE_GUARD
     values = np.real(charfn.char_perturbed(ctx, grid))
-
-    def f(lam: float) -> float:
-        return float(np.real(charfn.char_perturbed(ctx, lam)))
-
-    def df(lam: float, h: float = 1e-7) -> float:
-        return (f(lam + h) - f(lam - h)) / (2.0 * h)
-
-    roots = []
-    for i in range(len(grid) - 1):
-        if near_lattice[i] or near_lattice[i + 1]:
-            continue
-        if values[i] == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if values[i] * values[i + 1] < 0.0:
-            roots.append(bisect_newton(f, df, float(grid[i]), float(grid[i + 1]), rel_tol=1e-10))
-    return roots
+    clear = ~(near_lattice[:-1] | near_lattice[1:])
+    found = clear & (values[:-1] == 0.0)
+    bracketed = np.flatnonzero(clear & (values[:-1] * values[1:] < 0.0))
+    lo, hi = grid[bracketed], grid[bracketed + 1]
+    f_lo = values[bracketed]
+    x = 0.5 * (lo + hi)
+    live = np.arange(len(x))
+    for _ in range(_SCAN_STEPS):
+        if live.size == 0:
+            break
+        t = x[live]
+        d = charfn.char_perturbed(ctx, t + 1j * _COMPLEX_STEP)
+        f = d.real
+        slope = d.imag / _COMPLEX_STEP
+        same = f * f_lo[live] > 0.0
+        lo[live[same]] = t[same]
+        hi[live[~same]] = t[~same]
+        a, b = lo[live], hi[live]
+        newton = t - f / np.where(slope == 0.0, np.nan, slope)
+        inside = (a < newton) & (newton < b)
+        # converged at a Newton step or a bracket of a few ulp (absolute
+        # near 0): rounding in D can put the one just outside the other
+        tol = 4.0 * _EPS * np.maximum(1.0, t)
+        done = (f == 0.0) | (np.abs(newton - t) <= tol) | (b - a <= tol)
+        x[live] = np.where(inside, newton, np.where(done, t, 0.5 * (a + b)))
+        live = live[~done]
+    if live.size:
+        raise ConvergenceError(f"zero scan: {live.size} roots not converged in {_SCAN_STEPS} steps")
+    roots = grid[:-1].copy()
+    roots[bracketed] = x
+    found[bracketed] = True
+    return roots[found].tolist()

@@ -25,10 +25,11 @@ from .errors import (
     MalformedSpectrumError,
 )
 from .potential import OperatorSpec, PotentialSpec, build_potential
-from .spectrum import ClassifiedSpectrum, SpectrumClass, WeightTable
+from .spectrum import WEIGHT_FLOOR, ClassifiedSpectrum, SpectrumClass, WeightTable
 
 _PI_SQ = math.pi ** 2
 CONSISTENCY_TOL = 1e-6
+_COMPLEX_STEP = 1e-20  # Im D(x + ih)/h = D'(x) - h^2 D'''(x)/6
 
 
 @dataclass(frozen=True)
@@ -209,30 +210,24 @@ def alpha_and_norms(
 def weights_from_char_derivative(op: OperatorSpec, max_level: Optional[int] = None) -> WeightTable:
     """Forward-side cross-check: weights from the characteristic function.
 
-    X_0 = -(1/pi^2) D(0) and X_p = -(4p/pi^2) D'(2p), with the derivative by
-    Richardson-refined central differences (h = 1e-6) on the perturbed
-    characteristic function.
+    X_0 = -(1/pi^2) D(0) and X_p = -(4p/pi^2) D'(2p), with the complex-step
+    derivative D'(2p) = Im D(2p + ih)/h (Squire-Trapp). D is real on the
+    real axis and vanishes at 2p with the factors 1 - e^{-+i pi lam} of its
+    edge terms. At 2p + ih those factors are O(h) to full relative
+    precision and multiply the rest, so D(2p + ih) = ih D'(2p) is formed
+    without cancellation: the derivative is exact to rounding, and every
+    level comes from one evaluation. A level is active under weight_table's
+    rule, |X_p / alpha| above WEIGHT_FLOOR.
     """
     ctx = charfn.CharContext(op)
     cap = op.potential.K if max_level is None else max_level
-    weights: dict[int, float] = {}
-    d0 = float(np.real(charfn.char_perturbed(ctx, 0.0)))
-    weights[0] = -d0 / _PI_SQ
-    h = 1e-6
-    for p in range(1, cap + 1):
-        lam0 = 2.0 * p
-
-        def deriv(step: float) -> float:
-            hi = charfn.char_perturbed(ctx, lam0 + step)
-            lo = charfn.char_perturbed(ctx, lam0 - step)
-            return float(np.real(hi - lo)) / (2.0 * step)
-
-        d_h = deriv(h)
-        d_h2 = deriv(h / 2.0)
-        dprime = (4.0 * d_h2 - d_h) / 3.0
-        weights[p] = -(4.0 * p / _PI_SQ) * dprime
-    active = tuple(k for k, x in weights.items() if abs(x) > 1e-10)
-    return WeightTable(weights=weights, alpha=op.alpha, active=active)
+    levels = np.arange(1, cap + 1)
+    d = charfn.char_perturbed(ctx, np.append(0.0, 2.0 * levels + 1j * _COMPLEX_STEP))
+    x = np.append(-d[0].real, -4.0 * levels * d[1:].imag / _COMPLEX_STEP) / _PI_SQ
+    weights = dict(enumerate(x.tolist()))
+    alpha = op.alpha
+    active = tuple(k for k, w in weights.items() if alpha != 0.0 and abs(w / alpha) > WEIGHT_FLOOR)
+    return WeightTable(weights=weights, alpha=alpha, active=active)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rankonespec import charfn, oracle
 from rankonespec.errors import ConvergenceError
 from rankonespec.oracle import (
     cluster_eigenvalues,
@@ -250,3 +251,57 @@ class TestScan:
             assert len(scanned) == len(off_lattice)
             for got, want in zip(sorted(z * z for z in scanned), off_lattice):
                 assert got == pytest.approx(want, abs=1e-8)
+
+    def test_refinement_is_batched(self, rng, monkeypatch):
+        # one grid-sized kernel call, then at most the step cap of calls over
+        # the live brackets, however many roots there are
+        sizes = []
+        transforms = charfn._transforms
+
+        def counted(spec, lam, *args):
+            sizes.append(lam.size)
+            return transforms(spec, lam, *args)
+
+        monkeypatch.setattr(charfn, "_transforms", counted)
+        for op, lambda_max in (
+            (OperatorSpec(1.0, CONST), 3.0),
+            (random_operator(rng, max_order=16), 20.0),
+        ):
+            sizes.clear()
+            roots = scan_char_zeros(op, lambda_max)
+            assert sizes[0] == len(np.arange(0.01, lambda_max + 0.005, 0.01))
+            assert 1 <= len(sizes) - 1 <= oracle._SCAN_STEPS
+            assert max(sizes[1:]) <= len(roots)
+
+    def test_steep_root_next_to_lattice(self):
+        # the secular root z = 4.0133 sits 3.3e-3 above lambda = 2, just
+        # outside the lattice guard, where D is steep
+        op = OperatorSpec(1.0, build_potential(1.0, [(1, 0.1, 0.0)], normalize=False))
+        z = next(e.z for e in classify_spectrum(op, 9.0).entries if 4.0 < e.z < 9.0)
+        assert 1e-3 < math.sqrt(z) - 2.0 < 1e-2
+        roots = scan_char_zeros(op, 3.0, grid_step=0.001)
+        near = [x for x in roots if abs(x - 2.0) < 1e-2]
+        assert len(near) == 1
+        assert near[0] ** 2 == pytest.approx(z, rel=1e-12)
+
+    def test_roots_match_secular_solver(self, rng):
+        # every scanned root squared is a secular root to rounding, and every
+        # positive secular root farther than two grid steps from the lattice
+        # is scanned
+        for _ in range(10):
+            op = random_operator(rng, max_order=16)
+            lambda_max = 2.0 * op.potential.K + 3.0
+            secular = np.array(
+                [
+                    e.z
+                    for e in classify_spectrum(op, lambda_max ** 2).entries
+                    if e.tag.value in ("secular", "coincident") and e.z > 0.0
+                ]
+            )
+            scanned = [x * x for x in scan_char_zeros(op, lambda_max)]
+            for z in scanned:
+                assert np.min(np.abs(secular - z)) <= 1e-12 * z
+            lam = np.sqrt(secular)
+            clear = (np.abs(lam - 2.0 * np.round(lam / 2.0)) > 0.02) & (lam < lambda_max - 0.02)
+            for z in secular[clear]:
+                assert any(abs(s - z) <= 1e-12 * z for s in scanned)

@@ -133,6 +133,27 @@ class TestRouteAgreement:
                 )
 
 
+    def test_derivative_route_matches_weight_table(self, rng):
+        # the complex-step derivative is exact to rounding, on normalised and
+        # non-normalised potentials up to order 32 and both signs of alpha
+        for i in range(40):
+            alpha = float(rng.uniform(0.25, 5.0)) * (1 if i % 4 < 2 else -1)
+            op = OperatorSpec(alpha, random_potential(rng, 32, normalize=i % 2 == 0))
+            derivative = weights_from_char_derivative(op)
+            table = weight_table(op)
+            for k in range(0, op.potential.K + 1):
+                want = table.weights.get(k, 0.0)
+                assert abs(derivative.weights[k] - want) <= 1e-13 * max(1.0, abs(want))
+            assert derivative.active == table.active
+
+    def test_active_set_follows_weight_floor(self):
+        # level 2's weight 1e-12 lies above WEIGHT_FLOOR relative to alpha
+        v = build_potential(0.5, [(1, 0.6, 0.3), (2, 1e-6, 0.0), (3, 0.4, 0.2)], normalize=False)
+        op = OperatorSpec(1.0, v)
+        assert weights_from_char_derivative(op).active == weight_table(op).active == (0, 1, 2, 3)
+        assert weights_from_char_derivative(OperatorSpec(0.0, v)).active == ()
+
+
 class TestInvertThreeSpectra:
     def test_worked_example(self):
         v = build_potential(0.6, [(1, 0.64, 0.48)])
