@@ -1,14 +1,11 @@
-"""Low-level numerical helpers: stable exponential differences, the composite
-Gauss-Legendre rule, and the batched pole-relative solver of the secular
-equation.
+"""Low-level numerical helpers: the stable exponential difference and the
+batched pole-relative solver of the secular equation.
 
-All complex helpers accept scalars or ndarrays and are stable near their
-removable singularities (numpy's expm1 keeps full relative accuracy there).
+one_minus_exp accepts scalars or ndarrays and is stable near its removable
+singularity (numpy's expm1 keeps full relative accuracy there).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -18,43 +15,9 @@ _EPS = float(np.finfo(float).eps)
 _MAX_STEPS = 60  # random levels, |alpha| in [1e-8, 1e8], norms >= 1e-13: at most 11
 
 
-def _as_complex_array(z):
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    return np.atleast_1d(z), scalar
-
-
 def one_minus_exp(z):
     """1 - e**z, computed without cancellation near z = 0."""
-    z, scalar = _as_complex_array(z)
-    out = -np.expm1(z)
-    return out[0] if scalar else out
-
-
-def expm1_over(z):
-    """(e**z - 1)/z with the removable singularity at z = 0 filled in."""
-    z, scalar = _as_complex_array(z)
-    out = np.ones_like(z)
-    nonzero = z != 0.0
-    out[nonzero] = np.expm1(z[nonzero]) / z[nonzero]
-    return out[0] if scalar else out
-
-
-def gauss_legendre_rule(a: float, b: float, nodes_per_unit: int = 64):
-    """Composite Gauss-Legendre rule on [a, b], one 64-node panel per unit
-    of interval length (spectral accuracy for smooth integrands)."""
-    if b <= a:
-        raise ValueError("empty integration interval")
-    panels = max(1, math.ceil(b - a))
-    edges = np.linspace(a, b, panels + 1)
-    x0, w0 = np.polynomial.legendre.leggauss(nodes_per_unit)
-    xs = []
-    ws = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        xs.append(half * x0 + 0.5 * (hi + lo))
-        ws.append(half * w0)
-    return np.concatenate(xs), np.concatenate(ws)
+    return -np.expm1(np.asarray(z, dtype=complex))
 
 
 def _gap_origins(poles: np.ndarray, x: np.ndarray):

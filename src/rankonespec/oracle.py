@@ -163,9 +163,12 @@ def scan_char_zeros(
     """Positive real zeros of the perturbed characteristic function located
     by sign changes on a uniform grid over (0, lambda_max].
 
-    Neighborhoods of the even-integer lattice are skipped: the unperturbed
-    function has double zeros there and sign changes cannot resolve them
-    (the secular path owns those points). All brackets are refined together
+    The LATTICE_GUARD neighborhoods of the even-integer lattice are
+    skipped: the unperturbed function has double zeros there and sign
+    changes cannot resolve them (the secular path owns those points). Grid
+    nodes inside a neighborhood give way to nodes on its two edges, and only
+    the cell between those edges is dropped, so every root farther than the
+    guard from the lattice is bracketed. All brackets are refined together
     by Newton steps on the complex-step derivative: one evaluation at
     x + ih gives D(x) as its real part and D'(x) as its imaginary part over
     h. A step that leaves its bracket becomes a bisection, and the sign of D
@@ -175,9 +178,15 @@ def scan_char_zeros(
         raise ValueError("grid_step must be at most 0.01")
     ctx = charfn.CharContext(op)
     grid = np.arange(grid_step, lambda_max + grid_step / 2.0, grid_step)
-    near_lattice = np.abs(grid / 2.0 - np.round(grid / 2.0)) * 2.0 < LATTICE_GUARD
+    off_lattice = np.abs(grid - 2.0 * np.round(grid / 2.0)) >= LATTICE_GUARD
+    lattice = 2.0 * np.arange(math.floor(lambda_max / 2.0 + LATTICE_GUARD) + 1)
+    edges = np.concatenate((lattice - LATTICE_GUARD, lattice + LATTICE_GUARD))
+    edges = edges[(edges > 0.0) & (edges <= lambda_max)]
+    grid = np.unique(np.concatenate((grid[off_lattice], edges)))
     values = np.real(charfn.char_perturbed(ctx, grid))
-    clear = ~(near_lattice[:-1] | near_lattice[1:])
+    # the one cell around each lattice point is the only one whose ends
+    # fall in different periods of length 2
+    clear = np.floor(grid[:-1] / 2.0) == np.floor(grid[1:] / 2.0)
     found = clear & (values[:-1] == 0.0)
     bracketed = np.flatnonzero(clear & (values[:-1] * values[1:] < 0.0))
     lo, hi = grid[bracketed], grid[bracketed + 1]

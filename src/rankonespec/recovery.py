@@ -25,7 +25,7 @@ from .errors import (
     MalformedSpectrumError,
 )
 from .potential import OperatorSpec, PotentialSpec, build_potential
-from .spectrum import WEIGHT_FLOOR, ClassifiedSpectrum, SpectrumClass, WeightTable
+from .spectrum import WEIGHT_FLOOR, ClassifiedSpectrum, SpectrumClass, WeightTable, nearest_level
 
 _PI_SQ = math.pi ** 2
 CONSISTENCY_TOL = 1e-6
@@ -71,7 +71,7 @@ class SpectralData:
         )
 
     def level_indices(self) -> list[int]:
-        return [int(round(math.sqrt(z) / 2.0)) for z in self.active_levels]
+        return [nearest_level(z) for z in self.active_levels]
 
     def orientation(self) -> int:
         """+1 when secular roots sit above their paired poles (positive
@@ -112,27 +112,18 @@ def check_interlacing(data: SpectralData) -> int:
 
 def _ratio_product(data: SpectralData, z: complex) -> complex:
     """prod (1 - z/mu) / (pi^2 z' prod (1 - z/p)) with the level-0 pole
-    represented by the explicit pi^2 z factor; factors are interleaved to
-    keep intermediate magnitudes bounded."""
-    poles = sorted(data.active_levels)
-    mus = sorted(data.mus)
-    out = 1.0 + 0.0j
-    nontrivial = [p for p in poles if p != 0.0]
-    has_zero = len(nontrivial) != len(poles)
-    for mu, p in zip(mus, nontrivial):
-        out *= (1.0 - z / mu) / (1.0 - z / p)
-    for mu in mus[len(nontrivial):]:
-        out *= 1.0 - z / mu
-    out /= _PI_SQ
-    if has_zero:
-        out /= z
-    return out
+    represented by the explicit pi^2 z factor; each root's factor is divided
+    by its paired level's to keep intermediate magnitudes bounded."""
+    poles, mus, extra = _pairs(data)
+    out = np.prod((1.0 - z / mus) / (1.0 - z / poles))
+    if extra is not None:
+        out *= (1.0 - z / extra) / z
+    return out / _PI_SQ
 
 
 def _pairs(data: SpectralData):
-    """Nonzero active levels p, the secular roots paired with them (sorted
-    alike, as in _ratio_product), the unpaired largest root (None without a
-    level-0 pole)."""
+    """Nonzero active levels p, the secular roots paired with them (both
+    sorted), the unpaired largest root (None without a level-0 pole)."""
     poles = np.array(sorted(data.active_levels))
     mus = np.array(sorted(data.mus))
     nontrivial = poles[poles != 0.0]
@@ -183,7 +174,7 @@ def weights_from_spectrum(data: SpectralData) -> WeightTable:
     if extra is not None:
         weights[0] = -a_const / _PI_SQ
     for p, r in zip(poles.tolist(), residues.tolist()):
-        weights[int(round(math.sqrt(p) / 2.0))] = a_const * r / _PI_SQ
+        weights[nearest_level(p)] = a_const * r / _PI_SQ
     return WeightTable(weights=weights, alpha=None, active=tuple(weights))
 
 

@@ -19,19 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .charfn import secular_function
 from .errors import DegenerateOperatorError, PoleError
-from .numerics import expm1_over, gauss_legendre_rule, secular_equation_roots
-from .potential import (
-    SQRT_2_OVER_PI,
-    SQRT_PI,
-    OperatorSpec,
-    exp_coefficients,
-)
+from .numerics import secular_equation_roots
+from .potential import OperatorSpec, PotentialSpec, build_potential, evaluate
 
 WEIGHT_FLOOR = 1e-13
 COINCIDENCE_TOL = 1e-9
@@ -40,6 +35,11 @@ COINCIDENCE_TOL = 1e-9
 def level_value(k: int) -> float:
     """Unperturbed eigenvalue at index k."""
     return 4.0 * k * k
+
+
+def nearest_level(z: float) -> int:
+    """Index k of the level whose 2k is nearest sqrt(z) (0 for z <= 0)."""
+    return round(math.sqrt(max(z, 0.0)) / 2.0)
 
 
 def level_multiplicity(k: int) -> int:
@@ -184,7 +184,7 @@ def classify_spectrum(op: OperatorSpec, z_window: float) -> ClassifiedSpectrum:
     for mu in mus:
         # levels are at least 4 apart: only the nearest can be within
         # COINCIDENCE_TOL of a root
-        k = round(math.sqrt(max(mu, 0.0)) / 2.0)
+        k = nearest_level(mu)
         if k in inactive_set and abs(mu - level_value(k)) <= COINCIDENCE_TOL:
             coincident.add(k)
         else:
@@ -214,183 +214,98 @@ def classify_spectrum(op: OperatorSpec, z_window: float) -> ClassifiedSpectrum:
 # --- eigenfunctions -----------------------------------------------------
 
 
-def _segment_transforms(spec, lam, x):
-    """J+(x), J-(x): integrals of e^{+-i lam t} v(t) over [0, x]."""
-    ms, amps = exp_coefficients(spec)
-    jp = np.zeros_like(x, dtype=complex)
-    jm = np.zeros_like(x, dtype=complex)
-    for m, a in zip(ms, amps):
-        wp = 1j * (lam + 2.0 * m)
-        wm = 1j * (-lam + 2.0 * m)
-        jp = jp + a * x * expm1_over(wp * x)
-        jm = jm + a * x * expm1_over(wm * x)
-    return jp, jm
-
-
-def _secular_phase_terms(spec, lam, x):
-    """The four phase-weighted segment integrals that u and u' combine."""
-    jp, jm = _segment_transforms(spec, lam, np.append(x, math.pi))
-    jp_pi, jm_pi = jp[-1], jm[-1]
-    jp, jm = jp[:-1].reshape(np.shape(x)), jm[:-1].reshape(np.shape(x))
-    # inverse phases formed explicitly: lam may be imaginary (negative z)
-    ph_a = np.exp(1j * lam * (math.pi / 2.0 - x))
-    ph_a_inv = np.exp(-1j * lam * (math.pi / 2.0 - x))
-    ph_b = np.exp(1j * lam * (math.pi / 2.0 + x))
-    ph_b_inv = np.exp(-1j * lam * (math.pi / 2.0 + x))
-    return ph_a * jp, ph_a_inv * jm, ph_b * (jm_pi - jm), ph_b_inv * (jp_pi - jp)
-
-
-def _secular_u(spec, lam, x):
-    """Closed-form eigenfunction for a secular eigenvalue z = lam^2:
-    u(x) = int_0^x cos(lam(pi/2 - x + t)) v(t) dt
-         + int_x^pi cos(lam(pi/2 - t + x)) v(t) dt."""
-    a, a_inv, b, b_inv = _secular_phase_terms(spec, lam, x)
-    return 0.5 * (a + a_inv) + 0.5 * (b + b_inv)
-
-
-def _secular_u_prime(spec, lam, x):
-    a, a_inv, b, b_inv = _secular_phase_terms(spec, lam, x)
-    return lam * ((a - a_inv) / 2j - (b - b_inv) / 2j)
-
-
 @dataclass(frozen=True)
 class Eigenfunction:
-    """Evaluable eigenfunction with an analytic first derivative.
+    """Eigenfunction held as a finite series in the working basis, the
+    unperturbed operator's eigenbasis: value and derivative are finite sums
+    (potential.evaluate, on [0, pi]) and the squared norm is the sum of the
+    squared coefficients.
 
     kind "secular" carries lam = sqrt(z) (imaginary for negative z); kinds
     "basis" and "reduced" carry the level index instead.
     """
 
     kind: str
-    evaluator: Callable
-    derivative_evaluator: Callable
+    series: PotentialSpec
     level: Optional[int] = None
     lam: Optional[complex] = None
 
     def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
-        val = self.evaluator(np.atleast_1d(arr))
-        return float(val[0]) if arr.ndim == 0 else val
+        return evaluate(self.series, x)
 
     def derivative(self, x):
-        arr = np.asarray(x, dtype=float)
-        val = self.derivative_evaluator(np.atleast_1d(arr))
-        return float(val[0]) if arr.ndim == 0 else val
+        s = self.series
+        pairs = tuple((k, 2 * k * sk, -2 * k * ck) for k, ck, sk in s.pairs)
+        return evaluate(PotentialSpec(c0=0.0, pairs=pairs, K=s.K), x)
 
 
-def _l2_norm(fn) -> float:
-    x, w = gauss_legendre_rule(0.0, math.pi)
-    return math.sqrt(float(np.sum(w * fn(x) ** 2)))
-
-
-def _maybe_normalized(fn: Eigenfunction, normalize: bool) -> Eigenfunction:
-    if not normalize:
-        return fn
-    nrm = _l2_norm(fn)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize a vanishing eigenfunction")
-    ev, dev = fn.evaluator, fn.derivative_evaluator
-    return Eigenfunction(
-        kind=fn.kind,
-        evaluator=lambda x: ev(x) / nrm,
-        derivative_evaluator=lambda x: dev(x) / nrm,
-        level=fn.level,
-        lam=fn.lam,
-    )
-
-
-def _basis_functions(k: int) -> list[Eigenfunction]:
+def _basis_functions(k: int) -> tuple[Eigenfunction, ...]:
     if k == 0:
-        return [
-            Eigenfunction(
-                kind="basis",
-                evaluator=lambda x: np.full_like(x, 1.0 / SQRT_PI),
-                derivative_evaluator=lambda x: np.zeros_like(x),
-                level=0,
-            )
-        ]
-    return [
-        Eigenfunction(
-            kind="basis",
-            evaluator=lambda x, k=k: SQRT_2_OVER_PI * np.cos(2 * k * x),
-            derivative_evaluator=lambda x, k=k: -2 * k * SQRT_2_OVER_PI * np.sin(2 * k * x),
-            level=k,
-        ),
-        Eigenfunction(
-            kind="basis",
-            evaluator=lambda x, k=k: SQRT_2_OVER_PI * np.sin(2 * k * x),
-            derivative_evaluator=lambda x, k=k: 2 * k * SQRT_2_OVER_PI * np.cos(2 * k * x),
-            level=k,
-        ),
-    ]
-
-
-def _secular_eigenfunction(op: OperatorSpec, z: float) -> Eigenfunction:
-    lam = complex(math.sqrt(z)) if z >= 0.0 else 1j * math.sqrt(-z)
-    spec = op.potential
-    return Eigenfunction(
-        kind="secular",
-        evaluator=lambda x: np.real(_secular_u(spec, lam, x)),
-        derivative_evaluator=lambda x: np.real(_secular_u_prime(spec, lam, x)),
-        lam=lam,
+        return (Eigenfunction("basis", build_potential(1.0), level=0),)
+    return tuple(
+        Eigenfunction("basis", build_potential(0.0, [(k, c, s)]), level=k)
+        for c, s in ((1.0, 0.0), (0.0, 1.0))
     )
 
 
-def _resolvent_eigenfunction(op: OperatorSpec, z: float) -> Eigenfunction:
-    """Renormalized secular eigenvector sum_k v_k(x)/(4k^2 - z): the closed
-    form above is -2 lam sin(pi lam / 2) times this, so it vanishes
-    identically when the root lands on the even lattice (coincidences); this
-    limit direction is the surviving eigenvector there. Levels below the
-    weight floor count as unperturbed, as in the classification, so the
-    coincident level itself carries no term."""
-    spec = op.potential
-    active = weight_table(op).active
-    terms = []
-    c0, _ = spec.coefficient(0)
-    if 0 in active:
-        terms.append((0, c0 / SQRT_PI, 0.0))
-    for k, c, s in spec.pairs:
-        if k in active:
-            terms.append((k, SQRT_2_OVER_PI * c, SQRT_2_OVER_PI * s))
+def _resolvent_series(spec, z, levels, scale, normalize) -> PotentialSpec:
+    """scale * sum_k v_k / (4k^2 - z) over the given levels: the unperturbed
+    resolvent at z applied to those levels of v."""
+    c0 = scale * spec.c0 / (level_value(0) - z) if 0 in levels else 0.0
+    pairs = [
+        (k, scale * c / (level_value(k) - z), scale * s / (level_value(k) - z))
+        for k, c, s in spec.pairs
+        if k in levels
+    ]
+    return build_potential(c0, pairs, normalize=normalize)
 
-    def ev(x):
-        out = np.zeros_like(x)
-        for k, cc, ss in terms:
-            den = level_value(k) - z
-            out = out + (cc * np.cos(2 * k * x) + ss * np.sin(2 * k * x)) / den
-        return out
 
-    def dev(x):
-        out = np.zeros_like(x)
-        for k, cc, ss in terms:
-            den = level_value(k) - z
-            out = out + 2 * k * (-cc * np.sin(2 * k * x) + ss * np.cos(2 * k * x)) / den
-        return out
-
-    return Eigenfunction(kind="secular", evaluator=ev, derivative_evaluator=dev)
+def _secular_scale(z: float, sign_only: bool) -> float:
+    """-2 lam sin(pi lam / 2) at z = lam^2: the paper's closed form, the
+    periodic Green's function applied to v, is this times the resolvent sum.
+    The sine is taken of lam - 2k, formed from the exact difference z - 4k^2
+    to the nearest level, so the factor keeps its relative accuracy next to
+    the lattice. For z = -s^2 it is 2s sinh(pi s / 2): positive, and beyond
+    the float range below about z = -2e5."""
+    if z < 0.0:
+        if sign_only:
+            return 1.0
+        s = math.sqrt(-z)
+        try:
+            return 2.0 * s * math.sinh(math.pi * s / 2.0)
+        except OverflowError:
+            raise OverflowError(
+                f"unnormalized eigenfunction at z={z} exceeds the float range; "
+                "use normalize=True"
+            ) from None
+    k = nearest_level(z)
+    lam = math.sqrt(z)
+    offset = (z - level_value(k)) / (lam + 2.0 * k)
+    scale = -2.0 * lam * (-1.0) ** k * math.sin(math.pi * offset / 2.0)
+    return math.copysign(1.0, scale) if sign_only else scale
 
 
 def _require_member(op: OperatorSpec, entry: SpectrumEntry) -> None:
     """Reject entries that are not eigenvalues of this operator."""
     table = weight_table(op)
     tag = entry.tag
+    k = nearest_level(entry.z)
+    on_level = abs(entry.z - level_value(k)) <= COINCIDENCE_TOL
     if tag in (SpectrumClass.UNCHANGED, SpectrumClass.COINCIDENT):
-        k = int(round(math.sqrt(max(entry.z, 0.0)) / 2.0))
-        if abs(entry.z - level_value(k)) > COINCIDENCE_TOL or k in table.active:
+        if not on_level or k in table.active:
             raise ValueError(f"z={entry.z} is not an unperturbed level of this operator")
     if tag in (SpectrumClass.SECULAR, SpectrumClass.COINCIDENT):
         # restricted to the active levels: a near-floor inactive level with a
         # positive norm would be a pole at a valid coincident entry
         norms = op.potential.level_norms()
         try:
-            q_val = secular_function(op.alpha, {k: norms[k] for k in table.active}, entry.z)
+            q_val = secular_function(op.alpha, {j: norms[j] for j in table.active}, entry.z)
         except PoleError:
             raise ValueError(f"z={entry.z} sits on a weight-carrying level") from None
         if abs(q_val) > 1e-6:
             raise ValueError(f"z={entry.z} does not solve the secular equation")
     if tag is SpectrumClass.REDUCED:
-        k = int(round(math.sqrt(max(entry.z, 0.0)) / 2.0))
-        if abs(entry.z - level_value(k)) > COINCIDENCE_TOL or k not in table.active:
+        if not on_level or k not in table.active:
             raise ValueError(f"z={entry.z} is not a weight-carrying level of this operator")
 
 
@@ -400,40 +315,31 @@ def eigenfunctions(
     """Eigenfunctions spanning the eigenspace of one classified entry.
 
     unchanged -> the basis pair (single constant at k=0); reduced -> the
-    combination orthogonal to the potential's level projection; secular ->
-    the closed-form function of sqrt(z); coincident -> basis plus the
-    renormalized secular vector. Entries that are not eigenvalues of the
-    operator are rejected.
+    unit combination orthogonal to the potential's level projection;
+    secular -> the paper's closed form, scale(z) * sum_k v_k/(4k^2 - z) over
+    the levels v reaches; coincident -> basis plus the same sum over the
+    active levels without the scale, which vanishes on the lattice: the
+    renormalized secular vector. normalize divides a secular vector by its
+    Parseval norm and keeps only the sign of the scale, so it stays finite
+    at any depth; basis and reduced functions are unit vectors already.
+    Entries that are not eigenvalues of the operator are rejected.
     """
     _require_member(op, entry)
-    tag = entry.tag
+    spec, z, tag = op.potential, entry.z, entry.tag
+    k = nearest_level(z)
     if tag is SpectrumClass.UNCHANGED:
-        k = int(round(math.sqrt(entry.z) / 2.0))
-        fns = _basis_functions(k)
-    elif tag is SpectrumClass.REDUCED:
-        k = int(round(math.sqrt(entry.z) / 2.0))
-        c, s = op.potential.coefficient(k)
+        return _basis_functions(k)
+    if tag is SpectrumClass.REDUCED:
+        c, s = spec.coefficient(k)
         nrm = math.hypot(c, s)
-        if nrm == 0.0:
-            raise ValueError(f"level {k} carries no potential projection")
-        cs, ss = c / nrm, s / nrm
-        fns = [
-            Eigenfunction(
-                kind="reduced",
-                evaluator=lambda x, k=k, cs=cs, ss=ss: SQRT_2_OVER_PI
-                * (ss * np.cos(2 * k * x) - cs * np.sin(2 * k * x)),
-                derivative_evaluator=lambda x, k=k, cs=cs, ss=ss: 2
-                * k
-                * SQRT_2_OVER_PI
-                * (-ss * np.sin(2 * k * x) - cs * np.cos(2 * k * x)),
-                level=k,
-            )
-        ]
-    elif tag is SpectrumClass.SECULAR:
-        fns = [_secular_eigenfunction(op, entry.z)]
-    elif tag is SpectrumClass.COINCIDENT:
-        k = int(round(math.sqrt(entry.z) / 2.0))
-        fns = _basis_functions(k) + [_resolvent_eigenfunction(op, entry.z)]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown spectrum tag {tag!r}")
-    return tuple(_maybe_normalized(f, normalize) for f in fns)
+        series = build_potential(0.0, [(k, s / nrm, -c / nrm)])
+        return (Eigenfunction("reduced", series, level=k),)
+    if tag is SpectrumClass.SECULAR:
+        lam = complex(math.sqrt(z)) if z >= 0.0 else 1j * math.sqrt(-z)
+        levels = {j for j, n in spec.level_norms().items() if n > 0.0}
+        series = _resolvent_series(spec, z, levels, _secular_scale(z, normalize), normalize)
+        return (Eigenfunction("secular", series, lam=lam),)
+    if tag is SpectrumClass.COINCIDENT:
+        series = _resolvent_series(spec, z, weight_table(op).active, 1.0, normalize)
+        return _basis_functions(k) + (Eigenfunction("secular", series),)
+    raise ValueError(f"unknown spectrum tag {tag!r}")  # pragma: no cover

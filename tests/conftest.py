@@ -1,6 +1,6 @@
-"""Shared fixtures: random operator generation and an independent
-Gauss-Legendre quadrature oracle (kept separate from the package's own
-quadrature so closed-form results are checked against an external route)."""
+"""Shared fixtures: random operator generation and a composite
+Gauss-Legendre quadrature, the route by which tests check the package's
+closed forms and finite series against the integrals that define them."""
 
 import math
 
@@ -10,17 +10,21 @@ import pytest
 from rankonespec.potential import OperatorSpec, build_potential
 
 
-def quad_oracle(f, a, b, nodes=64):
-    """Composite Gauss-Legendre quadrature, one panel per unit length."""
+def quad_rule(a, b, nodes=64):
+    """Nodes and weights of the composite Gauss-Legendre rule on [a, b], one
+    panel of the given node count per unit length."""
     panels = max(1, math.ceil(b - a))
     edges = np.linspace(a, b, panels + 1)
     x0, w0 = np.polynomial.legendre.leggauss(nodes)
-    total = 0.0 + 0.0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs = 0.5 * (hi - lo) * x0 + 0.5 * (hi + lo)
-        ws = 0.5 * (hi - lo) * w0
-        total += np.sum(ws * f(xs))
-    return total
+    half = 0.5 * np.diff(edges)[:, None]
+    xs = half * x0 + 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return xs.ravel(), (half * w0).ravel()
+
+
+def quad_oracle(f, a, b, nodes=64):
+    """Integral of f over [a, b] by quad_rule (complex)."""
+    xs, ws = quad_rule(a, b, nodes)
+    return complex(np.sum(ws * f(xs)))
 
 
 def random_potential(rng, max_order=8, normalize=True):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from rankonespec import charfn
-from rankonespec.numerics import gauss_legendre_rule
 from rankonespec.oracle import oracle_spectrum
 from rankonespec.potential import OperatorSpec, build_potential, companions, evaluate
 from rankonespec.recovery import (
@@ -29,7 +28,7 @@ from rankonespec.spectrum import (
     weight_table,
 )
 
-from conftest import random_potential
+from conftest import quad_rule, random_potential
 
 PI = math.pi
 SEED = 413
@@ -196,7 +195,7 @@ def test_criterion_7_recovery_route_agreement():
 def test_criterion_8_eigenfunction_residual():
     h = PI / 2000.0
     xs = np.arange(0, 2001) * h
-    qx, qw = gauss_legendre_rule(0.0, PI)
+    qx, qw = quad_rule(0.0, PI)
     worst_resid = 0.0
     worst_bc = 0.0
     # orders <= 3 keep every secular eigenvalue inside the window where the

@@ -1,0 +1,68 @@
+"""The public surface: names exported by the package and the members of
+Eigenfunction. A change here is an API change and belongs in CHANGES.md."""
+
+import dataclasses
+
+import rankonespec
+from rankonespec import Eigenfunction
+
+PUBLIC_NAMES = [
+    "AdmissibilityReport",
+    "CharContext",
+    "ClassifiedSpectrum",
+    "ConvergenceError",
+    "DegenerateOperatorError",
+    "Eigenfunction",
+    "InconsistentSpectraError",
+    "MalformedSpectrumError",
+    "OperatorSpec",
+    "PoleError",
+    "PotentialSpec",
+    "SpectralData",
+    "SpectralError",
+    "SpectrumClass",
+    "SpectrumEntry",
+    "ThreeSpectra",
+    "TruncatedOperator",
+    "WeightTable",
+    "alpha_and_norms",
+    "autocorr_transform",
+    "autocorr_transform_star",
+    "build_potential",
+    "char_perturbed",
+    "char_unperturbed",
+    "check_admissibility",
+    "classify_spectrum",
+    "companions",
+    "eigenfunctions",
+    "evaluate",
+    "fourier_transform",
+    "fourier_transform_star",
+    "invert_three_spectra",
+    "jacobi_eigenvalues",
+    "magnitudes_from_two_spectra",
+    "oracle_spectrum",
+    "scan_char_zeros",
+    "secular_function",
+    "secular_roots",
+    "synthesize_from_admissible",
+    "weight_table",
+    "weights_from_char_derivative",
+    "weights_from_spectrum",
+]
+
+
+def test_all_is_pinned():
+    assert rankonespec.__all__ == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in PUBLIC_NAMES:
+        assert getattr(rankonespec, name) is not None
+
+
+def test_eigenfunction_members():
+    fields = [f.name for f in dataclasses.fields(Eigenfunction)]
+    assert fields == ["kind", "series", "level", "lam"]
+    assert callable(Eigenfunction.__call__)
+    assert callable(Eigenfunction.derivative)

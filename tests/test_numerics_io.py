@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import reference_csv
 
 from rankonespec.io import dumps_canonical, write_csv
-from rankonespec.numerics import expm1_over, gauss_legendre_rule, one_minus_exp
+from rankonespec.numerics import one_minus_exp
 
 
 def _expm1_exact(z: complex) -> complex:
@@ -33,9 +33,6 @@ class TestStableExponentials:
         z = 1e-9 + 1e-10j
         assert one_minus_exp(z) == pytest.approx(-z - z * z / 2.0, rel=1e-14)
 
-    def test_expm1_over_at_zero(self):
-        assert expm1_over(0.0) == pytest.approx(1.0, abs=0)
-
     def test_vectorized_matches_scalar(self):
         zs = np.array([0.0, 1e-8, 0.3 + 0.2j, -4.0])
         vec = one_minus_exp(zs)
@@ -48,7 +45,6 @@ class TestStableExponentials:
     def test_relative_accuracy_near_zero(self, z):
         exact = _expm1_exact(z)
         assert abs(-one_minus_exp(z) - exact) <= 1e-15 * abs(exact)
-        assert abs(expm1_over(z) - exact / z) <= 1e-15 * abs(exact / z)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-5, 5), st.floats(-5, 5))
@@ -56,20 +52,6 @@ class TestStableExponentials:
         z = complex(re, im)
         direct = 1.0 - np.exp(z)
         assert abs(one_minus_exp(z) - direct) <= 1e-12 * max(1.0, abs(direct))
-
-
-class TestQuadrature:
-    def test_polynomial_exact(self):
-        x, w = gauss_legendre_rule(0.0, 2.0)
-        assert np.sum(w * x ** 5) == pytest.approx(64.0 / 6.0, rel=1e-14)
-
-    def test_trigonometric_spectral(self):
-        x, w = gauss_legendre_rule(0.0, math.pi)
-        assert np.sum(w * np.cos(7 * x) ** 2) == pytest.approx(math.pi / 2.0, abs=1e-13)
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            gauss_legendre_rule(1.0, 1.0)
 
 
 class TestCanonicalJson:

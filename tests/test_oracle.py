@@ -263,13 +263,15 @@ class TestScan:
             return transforms(spec, lam, *args)
 
         monkeypatch.setattr(charfn, "_transforms", counted)
-        for op, lambda_max in (
-            (OperatorSpec(1.0, CONST), 3.0),
-            (random_operator(rng, max_order=16), 20.0),
+        # grid nodes: every lattice node 2p gives way to 2p -+ LATTICE_GUARD
+        # (within lambda_max), and 0 + LATTICE_GUARD opens the grid
+        for op, lambda_max, nodes in (
+            (OperatorSpec(1.0, CONST), 3.0, 300 - 1 + 3),
+            (random_operator(rng, max_order=16), 20.0, 2000 - 10 + 20),
         ):
             sizes.clear()
             roots = scan_char_zeros(op, lambda_max)
-            assert sizes[0] == len(np.arange(0.01, lambda_max + 0.005, 0.01))
+            assert sizes[0] == nodes
             assert 1 <= len(sizes) - 1 <= oracle._SCAN_STEPS
             assert max(sizes[1:]) <= len(roots)
 
@@ -279,15 +281,16 @@ class TestScan:
         op = OperatorSpec(1.0, build_potential(1.0, [(1, 0.1, 0.0)], normalize=False))
         z = next(e.z for e in classify_spectrum(op, 9.0).entries if 4.0 < e.z < 9.0)
         assert 1e-3 < math.sqrt(z) - 2.0 < 1e-2
-        roots = scan_char_zeros(op, 3.0, grid_step=0.001)
-        near = [x for x in roots if abs(x - 2.0) < 1e-2]
-        assert len(near) == 1
-        assert near[0] ** 2 == pytest.approx(z, rel=1e-12)
+        for grid_step in (0.01, 0.001):
+            roots = scan_char_zeros(op, 3.0, grid_step=grid_step)
+            near = [x for x in roots if abs(x - 2.0) < 1e-2]
+            assert len(near) == 1
+            assert near[0] ** 2 == pytest.approx(z, rel=1e-12)
 
     def test_roots_match_secular_solver(self, rng):
         # every scanned root squared is a secular root to rounding, and every
-        # positive secular root farther than two grid steps from the lattice
-        # is scanned
+        # positive secular root farther than the guard from the lattice is
+        # scanned
         for _ in range(10):
             op = random_operator(rng, max_order=16)
             lambda_max = 2.0 * op.potential.K + 3.0
@@ -302,6 +305,6 @@ class TestScan:
             for z in scanned:
                 assert np.min(np.abs(secular - z)) <= 1e-12 * z
             lam = np.sqrt(secular)
-            clear = (np.abs(lam - 2.0 * np.round(lam / 2.0)) > 0.02) & (lam < lambda_max - 0.02)
+            clear = np.abs(lam - 2.0 * np.round(lam / 2.0)) > oracle.LATTICE_GUARD
             for z in secular[clear]:
                 assert any(abs(s - z) <= 1e-12 * z for s in scanned)

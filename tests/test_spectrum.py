@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rankonespec import charfn
 from rankonespec import numerics
 from rankonespec.errors import ConvergenceError, DegenerateOperatorError
-from rankonespec.numerics import gauss_legendre_rule
 from rankonespec.potential import OperatorSpec, build_potential, evaluate
 from rankonespec.spectrum import (
     ClassifiedSpectrum,
@@ -19,11 +18,12 @@ from rankonespec.spectrum import (
     eigenfunctions,
     level_multiplicity,
     level_value,
+    nearest_level,
     secular_roots,
     weight_table,
 )
 
-from conftest import random_operator
+from conftest import quad_rule, random_operator
 
 PI = math.pi
 CONST = build_potential(1.0)
@@ -42,6 +42,11 @@ class TestLevels:
     def test_values_and_multiplicities(self):
         assert [level_value(k) for k in range(4)] == [0.0, 4.0, 16.0, 36.0]
         assert [level_multiplicity(k) for k in range(3)] == [1, 2, 2]
+
+    def test_nearest_level(self):
+        assert [nearest_level(z) for z in (-3.0, 0.0, 0.9, 1.1, 4.0, 8.9, 9.1)] == [
+            0, 0, 0, 1, 1, 1, 2
+        ]
 
     def test_separability_gap(self):
         gaps = np.diff([level_value(k) for k in range(50)])
@@ -324,7 +329,7 @@ def stencil_residual(op, entry, u, z):
     xs = np.arange(0, 2001) * h
     ux = u(xs)
     upp = (-ux[4:] + 16 * ux[3:-1] - 30 * ux[2:-2] + 16 * ux[1:-3] - ux[:-4]) / (12 * h * h)
-    qx, qw = gauss_legendre_rule(0.0, PI)
+    qx, qw = quad_rule(0.0, PI)
     inner = float(np.sum(qw * u(qx) * evaluate(op.potential, qx)))
     vx = evaluate(op.potential, xs[2:-2])
     resid = -upp + op.alpha * inner * vx - z * ux[2:-2]
@@ -383,7 +388,7 @@ class TestEigenfunctions:
         op = OperatorSpec(1.0, CONST)
         entry = classify_spectrum(op, 40.0).entries[0]
         u = eigenfunctions(op, entry, normalize=True)[0]
-        qx, qw = gauss_legendre_rule(0.0, PI)
+        qx, qw = quad_rule(0.0, PI)
         assert float(np.sum(qw * u(qx) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_eigenvalue_eigenfunction(self):
@@ -393,6 +398,75 @@ class TestEigenfunctions:
         assert entry.z == pytest.approx(-1.0, abs=1e-12)
         u = eigenfunctions(op, entry)[0]
         assert stencil_residual(op, entry, u, entry.z) < 1e-7
+
+
+def paper_integral(op, lam, x):
+    """The paper's closed form at real lam by quadrature, value and
+    derivative: u(x) = int_0^x cos(lam(pi/2 - x + t)) v(t) dt
+    + int_x^pi cos(lam(pi/2 - t + x)) v(t) dt."""
+    u = du = 0.0
+    for lo, hi, phase, sign in ((0.0, x, PI / 2 - x, 1.0), (x, PI, PI / 2 + x, -1.0)):
+        if hi > lo:
+            t, w = quad_rule(lo, hi)
+            arg = lam * (phase + sign * t)
+            vt = evaluate(op.potential, t)
+            u += float(np.sum(w * np.cos(arg) * vt))
+            du += sign * lam * float(np.sum(w * np.sin(arg) * vt))
+    return u, du
+
+
+class TestEigenfunctionSeries:
+    @pytest.mark.parametrize("alpha", [-1.0, -25.0, -100.0, -400.0, -3e5])
+    def test_deep_negative_eigenvalue_normalized(self, alpha):
+        # the constant potential's secular root is z = alpha; its normalised
+        # eigenfunction is the constant 1/sqrt(pi) up to sign at any depth
+        op = OperatorSpec(alpha, CONST)
+        entry = classify_spectrum(op, 40.0).entries[0]
+        assert entry.tag is SpectrumClass.SECULAR and entry.z < 0.0
+        u = eigenfunctions(op, entry, normalize=True)[0]
+        xs = np.linspace(0.0, PI, 50)
+        vals = u(xs)
+        assert np.all(np.isfinite(vals))
+        assert np.max(np.abs(np.abs(vals) - 1.0 / math.sqrt(PI))) <= 1e-14
+        assert np.max(np.abs(u.derivative(xs))) <= 1e-14
+
+    def test_deep_negative_eigenvalue_unnormalized_overflows_loudly(self):
+        op = OperatorSpec(-3e5, CONST)
+        entry = classify_spectrum(op, 40.0).entries[0]
+        with pytest.raises(OverflowError, match="normalize=True"):
+            eigenfunctions(op, entry)
+
+    def test_gram_matrix_is_identity(self, rng):
+        ops = [random_operator(rng, max_order=6) for _ in range(12)]
+        ops += [OperatorSpec(4.0, CONST), OperatorSpec(-25.0, ops[0].potential)]
+        qx, qw = quad_rule(0.0, PI)
+        signs = set()
+        for op in ops:
+            signs.add(op.alpha > 0)
+            cs = classify_spectrum(op, 4.0 * (op.potential.K + 2) ** 2)
+            fns = [u for e in cs.entries for u in eigenfunctions(op, e, normalize=True)]
+            vals = np.array([u(qx) for u in fns])
+            assert np.all(np.isfinite(vals))
+            gram = (vals * qw) @ vals.T
+            assert np.max(np.abs(gram - np.eye(len(fns)))) <= 1e-12
+        assert signs == {True, False}
+
+    def test_secular_series_matches_paper_integral(self, rng):
+        xs = np.linspace(0.0, PI, 9)
+        checked = 0
+        for _ in range(8):
+            op = random_operator(rng, max_order=6)
+            for entry in classify_spectrum(op, 4.0 * (op.potential.K + 2) ** 2).entries:
+                if entry.tag is not SpectrumClass.SECULAR or entry.z < 0.0:
+                    continue
+                u = eigenfunctions(op, entry)[0]
+                ref = np.array([paper_integral(op, math.sqrt(entry.z), x) for x in xs])
+                got = np.array([u(xs), u.derivative(xs)]).T
+                # value and derivative, each relative to its own size
+                err = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
+                assert np.all(err <= 1e-12)
+                checked += 1
+        assert checked >= 20
 
 
 class TestEigenfunctionRejection:
