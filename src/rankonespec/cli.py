@@ -66,8 +66,7 @@ def _cmd_inverse(args) -> int:
     except KeyError as exc:
         raise ValueError(f"three-spectra record missing field {exc}") from exc
     ts = recovery.ThreeSpectra.from_classified(base, shifted, squared, order)
-    alpha, pot = recovery.invert_three_spectra(ts)
-    norms_v = {k: x / alpha for k, x in recovery.weights_from_spectrum(ts.base).weights.items()}
+    alpha, pot, norms_v = recovery._invert_three_spectra(ts)
     residuals = []
     for k in range(0, order + 1):
         c, s = pot.coefficient(k)

@@ -10,29 +10,33 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps does to a str
 from pathlib import Path
 
 
 def _format_value(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
+    # float, dict and str first: nearly every value of the schemas is one.
+    # No object is an instance of two of the types tested here but a bool,
+    # also an int and tested before it, so the order changes no output.
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"non-finite float in output: {obj!r}")
         if obj == int(obj) and abs(obj) < 1e16:
             return f"{obj:.1f}"
         return format(obj, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_format_value(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_format_value(v)}" for k, v in obj.items())
+        items = [f"{_quote(str(k))}: {_format_value(v)}" for k, v in obj.items()]
         return "{" + ", ".join(items) + "}"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([_format_value(v) for v in obj]) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

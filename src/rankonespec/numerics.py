@@ -35,42 +35,55 @@ def _gap_origins(poles: np.ndarray, x: np.ndarray):
     there; the bracket is taken twice as wide, so it stays open at the root
     p_top + sum x of a single pole.
     """
-    half = 0.5 * np.diff(poles)
+    n = len(poles)
+    half = 0.5 * (poles[1:] - poles[:-1])
     mid = poles[:-1] + half
-    upper = 1.0 + np.sum(x / (poles - mid[:, None]), axis=1) < 0.0
-    total = float(np.sum(x))
-    gap = np.arange(len(half))
-    origin = np.append(gap + upper, len(poles) - 1)
-    other = np.append(gap + ~upper, max(len(poles) - 2, 0))
-    tau = np.append(np.where(upper, -half, half), total)
-    lo = np.append(np.where(upper, -half, 0.0), 0.0)
-    hi = np.append(np.where(upper, 0.0, half), 2.0 * total)
+    upper = 1.0 + np.add.reduce(x / (poles - mid[:, None]), axis=1) < 0.0
+    total = float(np.add.reduce(x))
+    origin = np.arange(n)  # row n - 1 is the exterior root
+    origin[:-1] += upper
+    other = np.arange(n)
+    other[:-1] += ~upper
+    other[-1] = max(n - 2, 0)
+    tau, lo, hi = np.zeros((3, n))
+    tau[:-1] = np.where(upper, -half, half)
+    lo[:-1] = np.where(upper, -half, 0.0)
+    hi[:-1] = np.where(upper, 0.0, half)
+    tau[-1] = total
+    hi[-1] = 2.0 * total
     return origin, other, tau, lo, hi
 
 
-def _model_roots(t, d_other, x_origin, w, dw, exterior):
+def _model_roots(t, w, dw, model):
     """New offsets from the two-pole rational model of q at the offsets t.
 
     The model c - x_origin/tau + S/(d_other - tau) keeps the origin pole (at
     offset 0) with its exact weight (the fixed-weight method) and the other
     pole nearest the root at its exact offset d_other; c and S match q and
     q' at t. Its roots solve c tau^2 - a tau + b = 0: the one between the
-    two poles for an interior root, the one above both for the exterior
-    root. Solving for tau itself, not for a step from t, keeps a root next
-    to its pole to full relative accuracy however far t is from it.
+    two poles for an interior root (side -1), the one above both for the
+    exterior root (side +1). Solving for tau itself, not for a step from t,
+    keeps a root next to its pole to full relative accuracy however far t
+    is from it. model holds the per-root rows d_other, x_origin, side, and
+    b = x_origin * d_other times 1, 2 and 4.
     """
+    d_other, x_origin, side, b, b2, b4 = model
     g = d_other - t
     s_other = g * g * (dw - x_origin / (t * t))
     c = w + x_origin / t - s_other / g
     a = c * d_other + x_origin + s_other
-    b = x_origin * d_other
-    side = np.where(exterior, 1.0, -1.0)
-    root = np.sqrt(np.abs(a * a - 4.0 * b * c))
-    far = a * side >= 0.0  # a + side * root adds magnitudes
-    linear = far & (c == 0.0)
-    num = np.where(linear, b, np.where(far, a + side * root, 2.0 * b))
-    den = np.where(linear, a, np.where(far, 2.0 * c, a - side * root))
-    return num / np.where(den == 0.0, np.nan, den)  # nan: no model root
+    root = side * np.sqrt(np.abs(a * a - b4 * c))
+    far = a * side >= 0.0  # a + root adds magnitudes
+    num = np.where(far, a + root, b2)
+    den = np.where(far, 2.0 * c, a - root)
+    if np.count_nonzero(c) < c.size:
+        # c == 0 on the far side leaves a linear model with the one root
+        # b/a, and none (nan) when a == 0 too; elsewhere den is never 0
+        linear = far & (c == 0.0)
+        num[linear] = b[linear]
+        den[linear] = a[linear]
+        den[den == 0.0] = np.nan
+    return num / den
 
 
 def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -91,40 +104,68 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
     clipped to the open interval of its gap, so roots interlace strictly
     with the poles even when tau is below the pole's ulp. Memory is
     O(len(poles)^2).
+
+    At small orders a solve is bound by numpy call overhead, so a step
+    makes about sixty calls: the per-root model constants are formed once,
+    the live roots' arrays are compacted only on steps where some root
+    finishes, and the Newton and bisection branches are formed only for the
+    roots that take them.
     """
     n = len(poles)
     origin, other, tau, lo, hi = _gap_origins(poles, x)
     offsets = poles - poles[origin][:, None]  # exact: integers
-    exterior = np.arange(n) == n - 1
     live = np.arange(n)
+    model = np.empty((6, n))
+    model[0] = offsets[live, other]
+    model[1] = x[origin]
+    model[2] = -1.0
+    model[2, -1] = 1.0  # the exterior root
+    model[3] = model[1] * model[0]
+    model[4] = 2.0 * model[3]
+    model[5] = 4.0 * model[3]
+    rounding = _EPS * (n + 2)  # w's error bound: n + 2 roundings of terms
+    t, live_offsets = tau, offsets
     for _ in range(_MAX_STEPS):
-        t = tau[live]
-        gaps = offsets[live] - t[:, None]
+        gaps = live_offsets - t[:, None]
         terms = x / gaps
-        w = 1.0 + np.sum(terms, axis=1)
-        dw = np.sum(terms / gaps, axis=1)
-        lo[live] = np.where(w < 0.0, t, lo[live])
-        hi[live] = np.where(w > 0.0, t, hi[live])
-        step = _model_roots(
-            t, offsets[live, other[live]], x[origin[live]], w, dw, exterior[live]
-        )
-        step = np.where(w * (step - t) > 0.0, t - w / dw, step)
-        lo_t, hi_t = lo[live], hi[live]
-        inside = (lo_t < step) & (step < hi_t)
-        # bisect in the log of |tau| when the bracket has one sign: a root
-        # can sit many decades closer to its pole than the bracket's far end
-        span = lo_t * hi_t
-        geometric = np.sqrt(np.abs(span))
-        mid = np.where(span > 0.0, np.where(hi_t > 0.0, geometric, -geometric), 0.5 * (lo_t + hi_t))
-        step = np.where(inside, step, mid)
-        # w within its own rounding error: n + 2 roundings of terms at most
-        # sum |terms| in size
-        quiet = np.abs(w) <= _EPS * (n + 2) * (1.0 + np.sum(np.abs(terms), axis=1))
-        step = np.where(quiet & ~inside, t, step)
-        tau[live] = step
-        live = live[~(quiet | (np.abs(step - t) <= _EPS * np.abs(step)))]
-        if live.size == 0:
+        w = 1.0 + np.add.reduce(terms, axis=1)
+        dw = np.add.reduce(terms / gaps, axis=1)
+        lo = np.where(w < 0.0, t, lo)
+        hi = np.where(w > 0.0, t, hi)
+        step = _model_roots(t, w, dw, model)
+        away = w * (step - t) > 0.0
+        if np.count_nonzero(away):
+            step[away] = t[away] - w[away] / dw[away]
+        # w within its own rounding error: at most sum |terms| in size
+        quiet = np.abs(w) <= rounding * (1.0 + np.add.reduce(np.abs(terms), axis=1))
+        inside = (lo < step) & (step < hi)
+        if np.count_nonzero(inside) < inside.size:
+            # a step leaving its bracket: a root whose q is quiet stays where
+            # it is, any other bisects, in the log of |tau| when the bracket
+            # has one sign (a root can sit many decades closer to its pole
+            # than the bracket's far end)
+            stay = quiet & ~inside
+            step[stay] = t[stay]
+            out = ~(inside | quiet)
+            if np.count_nonzero(out):
+                lo_o, hi_o = lo[out], hi[out]
+                span = lo_o * hi_o
+                geometric = np.sqrt(np.abs(span))
+                step[out] = np.where(
+                    span > 0.0, np.where(hi_o > 0.0, geometric, -geometric), 0.5 * (lo_o + hi_o)
+                )
+        done = quiet | (np.abs(step - t) <= _EPS * np.abs(step))
+        finished = np.count_nonzero(done)
+        if not finished:
+            t = step
+            continue
+        tau[live[done]] = step[done]
+        if finished == done.size:
             break
+        keep = ~done
+        live, t, live_offsets, lo, hi, model = (
+            live[keep], step[keep], live_offsets[keep], lo[keep], hi[keep], model[:, keep]
+        )
     else:
         raise ConvergenceError(
             f"secular solve: {live.size} roots not converged in {_MAX_STEPS} steps"
@@ -134,6 +175,9 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
     # rounding bound can sit anywhere in that band, the step recentres it
     gaps = offsets - tau[:, None]
     terms = x / gaps
-    z = poles[origin] + (tau - (1.0 + np.sum(terms, axis=1)) / np.sum(terms / gaps, axis=1))
-    upper = np.append(poles[1:], np.inf)
-    return np.clip(z, np.nextafter(poles, np.inf), np.nextafter(upper, -np.inf))
+    w = 1.0 + np.add.reduce(terms, axis=1)
+    z = poles[origin] + (tau - w / np.add.reduce(terms / gaps, axis=1))
+    upper = np.empty(n)
+    upper[:-1] = poles[1:]
+    upper[-1] = np.inf
+    return np.minimum(np.maximum(z, np.nextafter(poles, np.inf)), np.nextafter(upper, -np.inf))

@@ -268,6 +268,13 @@ def invert_three_spectra(ts: ThreeSpectra) -> tuple[float, PotentialSpec]:
     coefficients linearly through the probe shifts. A per-level consistency
     check (cos^2 + sin^2 against the base norm) guards mismatched inputs.
     """
+    alpha, potential, _ = _invert_three_spectra(ts)
+    return alpha, potential
+
+
+def _invert_three_spectra(ts: ThreeSpectra) -> tuple[float, PotentialSpec, dict[int, float]]:
+    """invert_three_spectra's (alpha, v), and the level norms of v that the
+    base spectrum gave."""
     orientation = check_interlacing(ts.base)
     base_table = weights_from_spectrum(ts.base)
     alpha, norms_v = alpha_and_norms(base_table, orientation=orientation)
@@ -298,7 +305,7 @@ def invert_three_spectra(ts: ThreeSpectra) -> tuple[float, PotentialSpec]:
             f"constant level: recovered coefficient violates the norm identity "
             f"by {abs(c0 ** 2 - nv0):.3e}"
         )
-    return alpha, build_potential(c0, pairs)
+    return alpha, build_potential(c0, pairs), norms_v
 
 
 def magnitudes_from_two_spectra(

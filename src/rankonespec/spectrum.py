@@ -23,9 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .charfn import secular_function
-from .errors import DegenerateOperatorError, PoleError
-from .numerics import secular_equation_roots
+from .errors import DegenerateOperatorError
+from .numerics import _EPS, secular_equation_roots
 from .potential import OperatorSpec, PotentialSpec, build_potential, evaluate
 
 WEIGHT_FLOOR = 1e-13
@@ -297,12 +296,21 @@ def _require_member(op: OperatorSpec, entry: SpectrumEntry) -> None:
     if tag in (SpectrumClass.SECULAR, SpectrumClass.COINCIDENT):
         # restricted to the active levels: a near-floor inactive level with a
         # positive norm would be a pole at a valid coincident entry
-        norms = op.potential.level_norms()
-        try:
-            q_val = secular_function(op.alpha, {j: norms[j] for j in table.active}, entry.z)
-        except PoleError:
-            raise ValueError(f"z={entry.z} sits on a weight-carrying level") from None
-        if abs(q_val) > 1e-6:
+        dist = np.array([level_value(j) for j in table.active]) - entry.z
+        if not dist.all():
+            raise ValueError(f"z={entry.z} sits on a weight-carrying level")
+        terms = np.array([table.weights[j] for j in table.active]) / dist
+        q = 1.0 + float(np.sum(terms))
+        # a root within reach of z leaves |q(z)| at most reach times the
+        # slope of (p - z) q over p - z, p the nearest pole: (p - z) q is
+        # smooth at p where q is steep, and at a root the two slopes agree
+        near = float(dist[np.argmin(np.abs(dist))])
+        slope = abs(float(np.sum(terms / dist)) - q / near)
+        reach = 8.0 * math.ulp(entry.z)
+        if tag is SpectrumClass.COINCIDENT:
+            reach += COINCIDENCE_TOL
+        rounding = _EPS * (len(terms) + 2) * (1.0 + float(np.sum(np.abs(terms))))
+        if abs(q) > slope * reach + rounding:
             raise ValueError(f"z={entry.z} does not solve the secular equation")
     if tag is SpectrumClass.REDUCED:
         if not on_level or k not in table.active:

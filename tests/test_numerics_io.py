@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import reference_csv
 
+from rankonespec import numerics
+from rankonespec.errors import ConvergenceError
 from rankonespec.io import dumps_canonical, write_csv
-from rankonespec.numerics import one_minus_exp
+from rankonespec.numerics import one_minus_exp, secular_equation_roots
+from rankonespec.spectrum import SpectrumClass
+
+EPS = float(np.finfo(float).eps)
 
 
 def _expm1_exact(z: complex) -> complex:
@@ -54,7 +61,190 @@ class TestStableExponentials:
         assert abs(one_minus_exp(z) - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
+def reference_secular_roots(poles, x, max_steps=numerics._MAX_STEPS):
+    """Reference: the solver as one loop body over fancy-indexed live roots,
+    every branch formed for every root on every step. The package's solver
+    must return the same bits."""
+    n = len(poles)
+    half = 0.5 * np.diff(poles)
+    mid = poles[:-1] + half
+    upper = 1.0 + np.sum(x / (poles - mid[:, None]), axis=1) < 0.0
+    total = float(np.sum(x))
+    gap = np.arange(len(half))
+    origin = np.append(gap + upper, n - 1)
+    other = np.append(gap + ~upper, max(n - 2, 0))
+    tau = np.append(np.where(upper, -half, half), total)
+    lo = np.append(np.where(upper, -half, 0.0), 0.0)
+    hi = np.append(np.where(upper, 0.0, half), 2.0 * total)
+    offsets = poles - poles[origin][:, None]
+    exterior = np.arange(n) == n - 1
+    live = np.arange(n)
+    for _ in range(max_steps):
+        t = tau[live]
+        gaps = offsets[live] - t[:, None]
+        terms = x / gaps
+        w = 1.0 + np.sum(terms, axis=1)
+        dw = np.sum(terms / gaps, axis=1)
+        lo[live] = np.where(w < 0.0, t, lo[live])
+        hi[live] = np.where(w > 0.0, t, hi[live])
+        # the two-pole model's root
+        d_other, x_origin = offsets[live, other[live]], x[origin[live]]
+        g = d_other - t
+        s_other = g * g * (dw - x_origin / (t * t))
+        c = w + x_origin / t - s_other / g
+        a = c * d_other + x_origin + s_other
+        b = x_origin * d_other
+        side = np.where(exterior[live], 1.0, -1.0)
+        root = np.sqrt(np.abs(a * a - 4.0 * b * c))
+        far = a * side >= 0.0
+        linear = far & (c == 0.0)
+        num = np.where(linear, b, np.where(far, a + side * root, 2.0 * b))
+        den = np.where(linear, a, np.where(far, 2.0 * c, a - side * root))
+        step = num / np.where(den == 0.0, np.nan, den)
+        step = np.where(w * (step - t) > 0.0, t - w / dw, step)
+        lo_t, hi_t = lo[live], hi[live]
+        inside = (lo_t < step) & (step < hi_t)
+        span = lo_t * hi_t
+        geometric = np.sqrt(np.abs(span))
+        mid = np.where(span > 0.0, np.where(hi_t > 0.0, geometric, -geometric), 0.5 * (lo_t + hi_t))
+        step = np.where(inside, step, mid)
+        quiet = np.abs(w) <= EPS * (n + 2) * (1.0 + np.sum(np.abs(terms), axis=1))
+        step = np.where(quiet & ~inside, t, step)
+        tau[live] = step
+        live = live[~(quiet | (np.abs(step - t) <= EPS * np.abs(step)))]
+        if live.size == 0:
+            break
+    else:
+        raise ConvergenceError(f"secular solve: {live.size} roots not converged in {max_steps} steps")
+    gaps = offsets - tau[:, None]
+    terms = x / gaps
+    z = poles[origin] + (tau - (1.0 + np.sum(terms, axis=1)) / np.sum(terms / gaps, axis=1))
+    upper = np.append(poles[1:], np.inf)
+    return np.clip(z, np.nextafter(poles, np.inf), np.nextafter(upper, -np.inf))
+
+
+def _secular_problem(rng):
+    """Ascending poles of a secular solve (the levels 4k^2 for positive
+    coupling, -4k^2 mirrored for negative) with weights: K <= 40, |alpha|
+    in [1e-8, 1e8] and norms in [1e-13, 1], both log-uniform."""
+    order = int(rng.integers(0, 41))
+    levels = np.sort(rng.choice(order + 1, size=int(rng.integers(1, order + 2)), replace=False))
+    x = 10.0 ** rng.uniform(-8.0, 8.0) * 10.0 ** rng.uniform(-13.0, 0.0, size=levels.size)
+    poles = 4.0 * levels.astype(float) ** 2
+    if rng.random() < 0.5:
+        poles, x = -poles[::-1], x[::-1]
+    return poles, x
+
+
+class TestSecularSolverReference:
+    def test_bit_identical_roots(self):
+        rng = np.random.default_rng(20261018)
+        sizes = set()
+        for _ in range(2000):
+            poles, x = _secular_problem(rng)
+            got = secular_equation_roots(poles, x)
+            assert got.tobytes() == reference_secular_roots(poles, x).tobytes(), (poles, x)
+            sizes.add(len(poles))
+        assert {1, 2, 41} <= sizes
+
+    def test_quiet_root_whose_step_leaves_its_bracket(self):
+        # the root next to the pole 0 is quiet on a step whose model root
+        # falls outside its bracket: it must stay, not take that step (about
+        # one table in a thousand of the draws above shows the difference)
+        poles = np.array([0.0, 36.0, 64.0, 400.0, 1024.0, 3136.0])
+        x = np.array([1.0099179685000886e-17, 1.222238089420998e-12, 9.58684904033303e-06,
+                      5.13190364968626e-15, 2.2370586829232365e-10, 1.5262957111215282e-12])
+        got = secular_equation_roots(poles, x)
+        assert got.tobytes() == reference_secular_roots(poles, x).tobytes()
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    def test_step_cap_matches(self, monkeypatch, cap):
+        monkeypatch.setattr(numerics, "_MAX_STEPS", cap)
+        rng = np.random.default_rng(cap)
+        raised = 0
+        for _ in range(60):
+            poles, x = _secular_problem(rng)
+            try:
+                want = reference_secular_roots(poles, x, max_steps=cap)
+            except ConvergenceError as exc:
+                raised += 1
+                with pytest.raises(ConvergenceError, match=f"^{exc}$"):
+                    secular_equation_roots(poles, x)
+            else:
+                assert secular_equation_roots(poles, x).tobytes() == want.tobytes()
+        assert 0 < raised < 60
+
+
+def reference_format_value(obj) -> str:
+    """Reference: the canonical JSON writer with a json.dumps per string and
+    per key. dumps_canonical must write the same text."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float in output: {obj!r}")
+        if obj == int(obj) and abs(obj) < 1e16:
+            return f"{obj:.1f}"
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(reference_format_value(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(str(k))}: {reference_format_value(v)}" for k, v in obj.items())
+        return "{" + ", ".join(items) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+class _Text(str):
+    def __str__(self):
+        return "shadowed"
+
+
+class _Level(int):
+    pass
+
+
+_Pair = namedtuple("_Pair", "x tag")
+
+
+ADVERSARIAL = {
+    "caf\u00e9 \u2192 \U0001d11e": "na\u00efve \u6f22\u5b57 \U0001f600",
+    'quote " and \\ backslash': 'a "b" \\c\\ /d/',
+    "ctrl \x00\x01\x1f\x7f\t\n\r\b\f": "\x00\u2028\u2029\ud800",
+    "": "",
+    _Text("sub"): _Text("value"),
+    "numbers": [np.float64(0.1), np.float64(-0.0), np.float64(3.0), -0.0, 0.0, 1e16, -1e16,
+                9999999999999998.0, 1e17, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                0.1, 1 / 3, 2.0 ** 53 + 2, 123456789.0],
+    "ints": [True, False, 0, 1, -1, 10 ** 30, _Level(7), None],
+    "nested": ((1, (2.5, ("x", (None, [])))), {}, [], ()),
+    7: {3.5: "float key", None: "none key", True: "bool key", (1, 2): "tuple key"},
+    SpectrumClass.SECULAR: [SpectrumClass.REDUCED, OrderedDict([("b", 1), ("a", 2.0)]), _Pair(0.5, "p")],
+}
+PAYLOADS = [ADVERSARIAL, *ADVERSARIAL.values(), list(ADVERSARIAL)]
+
+
 class TestCanonicalJson:
+    @pytest.mark.parametrize("payload", PAYLOADS, ids=[f"payload{i}" for i in range(len(PAYLOADS))])
+    def test_bytes_match_reference(self, payload):
+        assert dumps_canonical(payload) == reference_format_value(payload) + "\n"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), [1.0, {"a": -np.inf}], np.float64("nan"), object(), {1, 2},
+         b"bytes", np.int64(3), np.bool_(True), np.float32(0.5), {"x": [1, object()]}],
+    )
+    def test_errors_match_reference(self, bad):
+        with pytest.raises(Exception) as want:
+            reference_format_value(bad)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            dumps_canonical(bad)
+
     def test_round_trips_doubles(self):
         values = [0.1, 1 / 3, math.pi, 1e-300, -2.5e17]
         text = dumps_canonical({"v": values})

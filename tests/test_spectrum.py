@@ -500,6 +500,32 @@ class TestEigenfunctionRejection:
         with pytest.raises(ValueError, match="weight-carrying"):
             eigenfunctions(op, bogus)
 
+    def test_every_classified_entry_accepted(self):
+        # |alpha| from 1e-6 to 1e6 and coefficients from 1e-7 to 1 put roots
+        # within an ulp or a few of their poles, where q is too steep for an
+        # absolute bound on |q(z)|
+        rng = np.random.default_rng(20261019)
+
+        def coef():
+            return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, 0.0))
+
+        checked = moved = 0
+        for _ in range(300):
+            order = int(rng.integers(1, 9))
+            levels = rng.choice(np.arange(1, order + 1), size=int(rng.integers(1, order + 1)), replace=False)
+            pot = build_potential(coef(), [(int(k), coef(), coef()) for k in sorted(levels)])
+            op = OperatorSpec(float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 6.0)), pot)
+            for entry in classify_spectrum(op, 4.0 * (order + 1) ** 2).entries:
+                assert eigenfunctions(op, entry, normalize=True)
+                checked += 1
+                if entry.tag is SpectrumClass.SECULAR:
+                    # and the bound is not loose: 1e-7 relative off is foreign
+                    off = SpectrumEntry(entry.z + 1e-7 * max(1.0, abs(entry.z)), 1, entry.tag)
+                    with pytest.raises(ValueError, match="secular"):
+                        eigenfunctions(op, off)
+                    moved += 1
+        assert checked > 2000 and moved > 1000
+
     def test_inactive_level_cannot_be_reduced(self):
         op = OperatorSpec(0.5, COS2)
         from rankonespec.spectrum import SpectrumEntry
