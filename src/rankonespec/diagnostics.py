@@ -126,9 +126,15 @@ def oracle_comparison(
     eigenvalues of the cluster, not with their mean, so a secular root
     within cluster_radius of a reduced level is not charged half their gap.
     Each row's z_oracle is its matched eigenvalue farthest from z_solver.
+
+    Raises ValueError when the truncation n leaves out a level inside the
+    window, i.e. when the first level above it, 4(n+1)^2, is at most window:
+    the oracle would miss eigenvalues the solver reports.
     """
     if n is None:
         n = max(op.potential.K + 8, int(math.ceil(2.0 * math.sqrt(max(window, 4.0)))) + 16)
+    if 4 * (n + 1) ** 2 <= window:
+        raise ValueError(f"truncation {n} does not reach the window {window}")
     solver = [(e.z, e.multiplicity) for e in classify_spectrum(op, window).entries]
     values = oracle.jacobi_eigenvalues(oracle.truncated_matrix(op, n))
     clusters = oracle.cluster_eigenvalues(values, cluster_radius)

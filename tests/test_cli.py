@@ -214,6 +214,25 @@ def test_oracle_compare_near_floor_merged_cluster(tmp_path):
     assert all(row["deviation"] == abs(row["z_solver"] - row["z_oracle"]) for row in report["entries"])
 
 
+@pytest.mark.parametrize("n, inside, edge", [(4, 99.9, 100.0), (3, 63.0, 64.0)])
+def test_oracle_compare_truncation_must_reach_window(tmp_path, n, inside, edge):
+    # truncation n holds the levels up to 4n^2; the next one, 4(n+1)^2, is
+    # the edge past which the oracle would miss eigenvalues the solver finds
+    op = OperatorSpec(1.5, build_potential(0.3, [(1, 0.5, 0.2), (2, 0.1, 0.4)]))
+    report = diagnostics.oracle_comparison(op, inside, n=n)
+    assert report["passed"] is True
+    assert report["max_deviation"] <= 1e-13
+    with pytest.raises(ValueError, match="does not reach"):
+        diagnostics.oracle_comparison(op, edge, n=n)
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(op.to_dict()))
+    out = tmp_path / "cmp.json"
+    argv = ["oracle-compare", "--input", str(path), "--truncation", str(n), "--output", str(out)]
+    assert main(argv + ["--window", str(inside)]) == 0
+    assert main(argv + ["--window", str(edge)]) == 2
+    assert read_json(out)["error"] == "ValueError"
+
+
 def test_parser_built_once_and_options_do_not_leak(tmp_path, const_op_file):
     assert build_parser() is build_parser()
     first = tmp_path / "first.json"

@@ -70,17 +70,37 @@ def _operator(rng, order, active):
     return OperatorSpec(alpha, build_potential(c0, terms))
 
 
-def truncated_operators(seed=7):
-    """Audit-style sparse (four active levels) and dense operators at
-    K <= 16, truncated as oracle_comparison truncates them and tighter."""
+def truncation_cases(seed=7):
+    """(operator, n) pairs: audit-style sparse (four active levels) and
+    dense operators at K <= 16, truncated as oracle_comparison truncates
+    them and tighter."""
     rng = np.random.default_rng(seed)
     out = []
     for order in (1, 3, 8, 12, 16):
         sparse = {order, *map(int, rng.choice(order, size=min(3, order), replace=False))}
         for active in (sparse, set(range(order + 1))):
             op = _operator(rng, order, active)
-            out.extend(truncated_matrix(op, n) for n in (order + 2, 4 * order + 20))
+            out.extend((op, n) for n in (order + 2, 4 * order + 20))
     return out
+
+
+def truncated_operators(seed=7):
+    """The matrices of truncation_cases(seed)."""
+    return [truncated_matrix(op, n) for op, n in truncation_cases(seed)]
+
+
+def truncated_matrix_loop(op, n):
+    """Reference: the truncated matrix assembled one level at a time."""
+    dim = 2 * n + 1
+    diag = np.zeros(dim)
+    for k in range(1, n + 1):
+        diag[2 * k - 1] = diag[2 * k] = 4.0 * k * k
+    u = np.zeros(dim)
+    u[0] = op.potential.c0
+    for k, c, s in op.potential.pairs:
+        u[2 * k - 1] = c
+        u[2 * k] = s
+    return np.diag(diag) + op.alpha * np.outer(u, u)
 
 
 def planted_decoupled(rng, dim, decoupled):
@@ -110,6 +130,32 @@ class TestJacobi:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("gap, accepted", [(1e-12, True), (1.5e-12, False)])
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_symmetry_tolerance_edge(self, gap, accepted, upper):
+        # entries may differ from their mirror by up to 1e-12, inclusive
+        a = np.diag([1.0, 2.0])
+        a[(0, 1) if upper else (1, 0)] = gap
+        if accepted:
+            assert jacobi_eigenvalues(a).tobytes() == full_matrix_jacobi(a).tobytes()
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                jacobi_eigenvalues(a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[math.inf, 1.0], [1.0, 0.0]],
+            [[math.inf, 0.0], [0.0, 1.0]],
+            [[1.0, -math.inf], [-math.inf, 1.0]],
+            [[math.nan, 0.0], [0.0, 1.0]],
+            [[1.0, math.nan], [math.nan, 1.0]],
+        ],
+    )
+    def test_rejects_non_finite(self, a):
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_eigenvalues(np.array(a))
 
     def test_diagonal_converges_immediately(self):
         ev = jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0]))
@@ -145,6 +191,21 @@ class TestDeflation:
         assert np.array_equal(ev, full_matrix_jacobi(a, tol=1e-14))
         assert ev[0] < 1.0
 
+    def test_noisy_asymmetric_bit_identical(self, rng):
+        # the upper triangle differs from the lower by noise inside the
+        # symmetry tolerance; with planted rows, some of that noise is the
+        # only entry coupling a row
+        for dim in (2, 3, 5, 8, 17, 33, 65):
+            m = rng.standard_normal((dim, dim))
+            decoupled = rng.choice(dim, size=int(rng.integers(1, dim)), replace=False)
+            for a in (0.5 * (m + m.T), planted_decoupled(rng, dim, decoupled)):
+                noise = rng.uniform(-0.9e-12, 0.9e-12, (dim, dim)) * (rng.random((dim, dim)) < 0.5)
+                noise[0, -1] = 0.5e-12
+                a = a + np.triu(noise, 1)
+                assert 0.0 < np.max(np.abs(a - a.T)) <= 1e-12
+                ev = jacobi_eigenvalues(a)
+                assert ev.tobytes() == full_matrix_jacobi(a).tobytes()
+
     def test_sweep_limit_still_raises(self):
         a = truncated_operators()[-1]
         with pytest.raises(ConvergenceError):
@@ -161,6 +222,14 @@ class TestDeflation:
                 got = jacobi_eigenvalues(a)
                 bound = 1e-12 * max(1.0, np.linalg.norm(a, 2))
                 assert np.max(np.abs(got - want)) <= bound
+
+
+class TestTruncatedOperator:
+    def test_matches_level_loop(self):
+        cases = truncation_cases() + truncation_cases(seed=3)
+        cases += [(OperatorSpec(0.5, CONST), 6), (OperatorSpec(-2.0, COS2), 1)]
+        for op, n in cases:
+            assert truncated_matrix(op, n).tobytes() == truncated_matrix_loop(op, n).tobytes()
 
 
 class TestClusterEigenvalues:
