@@ -15,13 +15,16 @@ and the potential's Fourier transform and the transform of its one-sided
 autocorrelation become Cauchy sums of coefficient vectors over
 1/(lam + 2j) and 1/(lam + 2j)^2, with one exponential per point (and sign,
 as lam and -lam are evaluated together). The
-removable singularities of the closed forms sit on the even-integer lattice;
-only the shift nearest the lattice can come close to one, and there a
-truncated power series replaces the closed form inside a configurable switch
-radius. On top of the transforms sit the characteristic functions of the
-unperturbed and perturbed operators. The odd-ratio factor entering the
-perturbed function has its own removable singularity at lambda = 0; near the
-origin it is evaluated from numerically extracted Taylor coefficients.
+removable singularities of the closed forms sit on the even-integer lattice,
+and only the shift nearest the lattice can come close to one. There the
+closed form of U keeps full relative accuracy, since E comes from expm1, and
+X switches to a fixed full-precision series, so the transforms are pure
+functions of (spec, lam) with no switch to configure. On top of the
+transforms sit the characteristic functions of the unperturbed and perturbed
+operators. The odd-ratio factor entering the perturbed function has its own
+removable singularity at lambda = 0, a 0/0 that no closed form resolves;
+inside a configurable radius of the origin it is evaluated from numerically
+extracted Taylor coefficients.
 
 All evaluators accept scalar or ndarray lambda (real or complex) and return
 complex values of matching shape.
@@ -46,7 +49,7 @@ _PI = math.pi
 # machine-precision series window for the ramp integral, whose closed form
 # subtracts two O(pi) quantities
 _RAMP_SERIES_CUTOFF = 0.5
-_RAMP_SERIES_TERMS = 24
+_RAMP_COEFFICIENTS = [(n + 1) / math.factorial(n + 2) for n in range(24)]
 # points per block of the (points x shifts) Cauchy matrix: enough for about
 # _BLOCK_ENTRIES entries, which keeps the matrix small, but at least
 # _BLOCK_POINTS, which keeps the per-block overhead small at high order
@@ -60,45 +63,33 @@ def _as_lambda_array(lam):
     return np.atleast_1d(arr), scalar
 
 
-def _power_series(z, coefficients):
-    """sum_n coefficients[n] * z**n by Horner's rule."""
-    out = np.full_like(z, coefficients[-1])
-    for c in coefficients[-2::-1]:
+def _ramp_series(mu):
+    # pi^2 * sum (n+1) z^n / (n+2)!, z = -i pi mu, by Horner's rule
+    z = -1j * _PI * mu
+    out = np.full_like(z, _RAMP_COEFFICIENTS[-1])
+    for c in _RAMP_COEFFICIENTS[-2::-1]:
         out = out * z + c
-    return out
+    return _PI * _PI * out
 
 
-def _unit_series(mu, terms):
-    # pi * sum z^n / (n+1)!, z = -i pi mu
-    coefficients = [1.0 / math.factorial(n + 1) for n in range(terms)]
-    return _PI * _power_series(-1j * _PI * mu, coefficients)
-
-
-def _ramp_series(mu, terms):
-    # pi^2 * sum (n+1) z^n / (n+2)!, z = -i pi mu
-    coefficients = [(n + 1) / math.factorial(n + 2) for n in range(terms)]
-    return _PI * _PI * _power_series(-1j * _PI * mu, coefficients)
-
-
-def _nearest_shift_values(r, big_e, radius, terms):
+def _nearest_shift_values(r, big_e):
     """U(r) and X(r) at the shift nearest the lattice, |Re r| <= 1.
 
-    U switches to its series inside the switch radius. The closed form of X
-    subtracts two O(pi) terms, so X also uses a full-precision series on a
-    fixed inner window regardless of the configured radius.
+    E = 1 - e^{-i pi r} comes from expm1, so U = -i E / r keeps full relative
+    accuracy down to r = 0, where U = pi. The closed form of X subtracts two
+    O(pi) terms, so X takes a full-precision series on |r| < 0.5.
     """
-    size = np.abs(r)
-    near = size < radius
-    mid = ~near & (size < _RAMP_SERIES_CUTOFF)
-    far = ~near & ~mid
-    u = np.empty_like(r)
+    # below |r| = 1e-150 the division can leave the float range (at a
+    # subnormal r), and U = pi (1 - i pi r / 2 + ...) is pi to rounding
+    tiny = np.abs(r) < 1e-150
+    u = -1j * big_e / np.where(tiny, 1.0, r)
+    u[tiny] = _PI
+    near = np.abs(r) < _RAMP_SERIES_CUTOFF
+    far = ~near
     x = np.empty_like(r)
-    u[~near] = -1j * big_e[~near] / r[~near]
-    u[near] = _unit_series(r[near], terms)
     rf = r[far]
     x[far] = (1j * _PI * (1.0 - big_e[far]) - big_e[far] / rf) / rf
-    x[mid] = _ramp_series(r[mid], _RAMP_SERIES_TERMS)
-    x[near] = _ramp_series(r[near], terms)
+    x[near] = _ramp_series(r[near])
     return u, x
 
 
@@ -109,7 +100,7 @@ def _lattice_offset(lam):
     return n, lam - 2.0 * n
 
 
-def _transforms(spec, lam, radius, terms):
+def _transforms(spec, lam):
     """(E, F, AC) at lam and at -lam, as one array of shape (3, 2) + lam.shape.
 
     lam is a complex array; in each of E = 1 - e^{-i pi lam}, F and AC, row 0
@@ -141,8 +132,8 @@ def _transforms(spec, lam, radius, terms):
     big_e[0] = one_minus_exp(-1j * _PI * r)
     big_e[1] = one_minus_exp(1j * _PI * r)
     nearest = [
-        _nearest_shift_values(r, big_e[0], radius, terms),
-        _nearest_shift_values(-r, big_e[1], radius, terms),
+        _nearest_shift_values(r, big_e[0]),
+        _nearest_shift_values(-r, big_e[1]),
     ]
     step = max(_BLOCK_POINTS, _BLOCK_ENTRIES // max(1, len(shifts)))
     for lo in range(0, len(lam), step):
@@ -175,28 +166,22 @@ def _transforms(spec, lam, radius, terms):
     return out.reshape((3, 2) + shape)
 
 
-def fourier_transform(
-    spec: PotentialSpec,
-    lam,
-    radius: float = DEFAULT_SINGULARITY_RADIUS,
-    terms: int = DEFAULT_SERIES_TERMS,
-):
+def _kernel_row(spec, lam, row, sign):
+    """One row of the kernel output at lam, shaped like lam."""
+    arr, scalar = _as_lambda_array(lam)
+    out = _transforms(spec, arr)[row, sign]
+    return out[0] if scalar else out.copy()
+
+
+def fourier_transform(spec: PotentialSpec, lam):
     """integral_0^pi e^{-i lam x} v(x) dx, entire in lam."""
-    arr, scalar = _as_lambda_array(lam)
-    out = _transforms(spec, arr, radius, terms)[1, 0].copy()
-    return out[0] if scalar else out
+    return _kernel_row(spec, lam, 1, 0)
 
 
-def fourier_transform_star(
-    spec: PotentialSpec,
-    lam,
-    radius: float = DEFAULT_SINGULARITY_RADIUS,
-    terms: int = DEFAULT_SERIES_TERMS,
-):
-    """Star-conjugate f*(lam) = conj(f(conj(lam))) of the Fourier transform."""
-    arr, scalar = _as_lambda_array(lam)
-    out = np.conj(fourier_transform(spec, np.conj(arr), radius, terms))
-    return out[0] if scalar else out
+def fourier_transform_star(spec: PotentialSpec, lam):
+    """Star-conjugate f*(lam) = conj(f(conj(lam))) of the Fourier transform.
+    The potential is real, so this is F(-lam), the kernel's -lam row."""
+    return _kernel_row(spec, lam, 1, 1)
 
 
 @lru_cache(maxsize=256)
@@ -227,28 +212,16 @@ def _autocorr_tables(spec: PotentialSpec):
     return shifts, ce, -b
 
 
-def autocorr_transform(
-    spec: PotentialSpec,
-    lam,
-    radius: float = DEFAULT_SINGULARITY_RADIUS,
-    terms: int = DEFAULT_SERIES_TERMS,
-):
+def autocorr_transform(spec: PotentialSpec, lam):
     """Transform of the one-sided autocorrelation of the potential,
     integral_0^pi e^{-i lam x} g(x) dx with g(x) = integral_x^pi v(t-x)v(t) dt."""
-    arr, scalar = _as_lambda_array(lam)
-    out = _transforms(spec, arr, radius, terms)[2, 0].copy()
-    return out[0] if scalar else out
+    return _kernel_row(spec, lam, 2, 0)
 
 
-def autocorr_transform_star(
-    spec: PotentialSpec,
-    lam,
-    radius: float = DEFAULT_SINGULARITY_RADIUS,
-    terms: int = DEFAULT_SERIES_TERMS,
-):
-    arr, scalar = _as_lambda_array(lam)
-    out = np.conj(autocorr_transform(spec, np.conj(arr), radius, terms))
-    return out[0] if scalar else out
+def autocorr_transform_star(spec: PotentialSpec, lam):
+    """Star-conjugate of the autocorrelation transform: AC(-lam), the
+    kernel's -lam row, for a real potential."""
+    return _kernel_row(spec, lam, 2, 1)
 
 
 def char_unperturbed(lam):
@@ -265,8 +238,7 @@ def char_unperturbed(lam):
 
 
 def _edge_factors(kernel):
-    """R(lam) and R(-lam) from the kernel output _transforms(spec, lam, ...),
-    where
+    """R(lam) and R(-lam) from the kernel output _transforms(spec, lam), where
 
         R(lam) = (1 - e^{-i lam pi}) { AC(lam)(1 - e^{i lam pi}) - F(lam) F*(lam) }.
 
@@ -286,9 +258,9 @@ def _edge_factors(kernel):
     )
 
 
-def _edge_factor(spec, lam, radius, terms):
+def _edge_factor(spec, lam):
     """R(lam) on a 1-d complex array (see _edge_factors)."""
-    return _edge_factors(_transforms(spec, lam, radius, terms))[0]
+    return _edge_factors(_transforms(spec, lam))[0]
 
 
 def _flipped(lam):
@@ -297,7 +269,7 @@ def _flipped(lam):
     return (lam.real < 0.0) | ((lam.real == 0.0) & (lam.imag < 0.0))
 
 
-def _odd_ratio_direct(spec, lam, radius, terms):
+def _odd_ratio_direct(spec, lam):
     """(R(lam) - R(-lam)) / (2i lam), valid away from lam = 0, and the kernel
     output it was formed from.
 
@@ -307,19 +279,22 @@ def _odd_ratio_direct(spec, lam, radius, terms):
     conjugate member, the ratio also comes out exactly star-symmetric.
     """
     lam = np.where(_flipped(lam), -lam, lam)
-    kernel = _transforms(spec, lam, radius, terms)
+    kernel = _transforms(spec, lam)
     r_plus, r_minus = _edge_factors(kernel)
     return (r_plus - r_minus) / (2j * lam), kernel
 
 
 class CharContext:
-    """Evaluation context: operator plus the singularity-handling knobs.
+    """Evaluation context: operator plus the origin series switch.
 
-    singularity_radius is the distance to the even-integer lattice (and to
-    the origin) below which closed forms are replaced by truncated series;
-    series_terms is the truncation length. The origin series coefficients
-    are extracted once per context from a 32-point circle of radius 0.5 via
-    FFT (the odd-ratio factor is entire and even, so only even powers carry).
+    singularity_radius is the distance to the origin below which the
+    odd-ratio factor comes from its truncated Taylor series in lam**2, and
+    series_terms is the number of terms; they govern nothing else, as the
+    transforms need no series switch on the even-integer lattice. The
+    coefficients are extracted once per context from a 32-point circle of
+    radius 0.5 via FFT (the odd-ratio factor is entire and even, so only
+    even powers carry). At the widest radius, 0.25, the series needs about
+    8 terms for full precision at its edge.
     """
 
     _CIRCLE_POINTS = 32
@@ -348,9 +323,7 @@ class CharContext:
             rho = self._CIRCLE_RADIUS
             theta = 2.0 * _PI * np.arange(m) / m
             ring = rho * np.exp(1j * theta)
-            vals = _odd_ratio_direct(
-                self.operator.potential, ring, self.singularity_radius, self.series_terms
-            )[0]
+            vals = _odd_ratio_direct(self.operator.potential, ring)[0]
             coeffs = np.fft.fft(vals) / m
             orders = np.arange(0, 2 * self.series_terms, 2)
             self._origin_coeffs = coeffs[orders] / rho ** orders
@@ -362,16 +335,13 @@ def _char_parts(ctx, arr):
     characteristic functions, and the kernel output that the odd-ratio
     factor was formed from, at the even member of each point outside the
     origin switch radius (None when there is no such point)."""
-    radius = ctx.singularity_radius
     d0 = char_unperturbed(arr)
     out = d0.copy()
-    near = np.abs(arr) < radius
+    near = np.abs(arr) < ctx.singularity_radius
     far = ~near
     kernel = None
     if np.any(far):
-        ratio, kernel = _odd_ratio_direct(
-            ctx.operator.potential, arr[far], radius, ctx.series_terms
-        )
+        ratio, kernel = _odd_ratio_direct(ctx.operator.potential, arr[far])
         out[far] = out[far] + ctx.operator.alpha * ratio
     if np.any(near):
         poly = ctx.origin_coeffs()
@@ -408,7 +378,7 @@ def _autocorr_residual(kernel):
 def autocorr_identity_residual(spec: PotentialSpec, lam):
     """|AC + AC* - F F*| at lam, from one pass of the transform kernel."""
     arr, scalar = _as_lambda_array(lam)
-    kernel = _transforms(spec, arr, DEFAULT_SINGULARITY_RADIUS, DEFAULT_SERIES_TERMS)
+    kernel = _transforms(spec, arr)
     return _autocorr_residual(kernel[..., 0] if scalar else kernel)
 
 
@@ -419,14 +389,13 @@ def char_with_autocorr_residual(ctx: CharContext, lam):
     Where every point has Re lam > 0 and lies outside the origin switch
     radius, as on diagnostics.identity_grid, the kernel that D is formed
     from is the one at lam itself, and one kernel pass serves all three.
-    Elsewhere the residual takes a second pass. The residual uses the
-    context's switch radius and series length; each result equals bit for
-    bit the public evaluator's at the same settings.
+    Elsewhere the residual takes a second pass. Each result equals bit for
+    bit the public evaluator's.
     """
     arr, scalar = _as_lambda_array(lam)
     d, d0, kernel = _char_parts(ctx, arr)
     if kernel is None or kernel.shape[-1] != arr.size or np.any(_flipped(arr)):
-        kernel = _transforms(ctx.operator.potential, arr, ctx.singularity_radius, ctx.series_terms)
+        kernel = _transforms(ctx.operator.potential, arr)
     kernel = kernel.reshape((3, 2) + arr.shape)
     if scalar:
         return d[0], d0[0], _autocorr_residual(kernel[..., 0])

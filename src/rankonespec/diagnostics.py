@@ -40,18 +40,6 @@ def _factorization_residuals(op: OperatorSpec, lam: np.ndarray, d, d0) -> np.nda
     return np.abs(d - q * d0) / np.maximum(1.0, np.abs(d))
 
 
-def _char_and_residuals(op: OperatorSpec, lam: np.ndarray):
-    """Perturbed values on lam and their factorization residuals, from one
-    evaluation of the characteristic function."""
-    d = charfn.char_perturbed(charfn.CharContext(op), lam)
-    return d, _factorization_residuals(op, lam, d, charfn.char_unperturbed(lam))
-
-
-def factorization_residuals(op: OperatorSpec, lam: np.ndarray) -> np.ndarray:
-    """|perturbed - secular * unperturbed| scaled by max(1, |perturbed|)."""
-    return _char_and_residuals(op, lam)[1]
-
-
 def autocorr_identity_residuals(op: OperatorSpec, lam: np.ndarray) -> np.ndarray:
     """|AC + AC* - F F*| on lam, from one pass of the transform kernel."""
     return charfn.autocorr_identity_residual(op.potential, lam)
@@ -96,9 +84,7 @@ def identity_report(op: OperatorSpec, lam_max: float = 30.0) -> dict:
 
 def validation_csv_rows(op: OperatorSpec, lam_max: float = 30.0):
     """(lambda, Re perturbed, factorization residual) rows for plotting."""
-    grid = identity_grid(lam_max)
-    d, fact = _char_and_residuals(op, grid)
-    return list(zip(grid.tolist(), d.real.tolist(), fact.tolist()))
+    return list(identity_report_and_rows(op, lam_max)[1])
 
 
 def char_samples(op: OperatorSpec, lam_max: float = 30.0, step: float = 0.01):

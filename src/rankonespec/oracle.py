@@ -133,9 +133,13 @@ def jacobi_eigenvalues(
             for q in range(p + 1, dim):
                 row_p, row_q = rows[p], rows[q]
                 apq = row_p[q]
-                # entries this small cannot move the off-norm past tol
+                # symmetry holds only to 1e-12, so a pair may be nonzero
+                # below the diagonal alone; entries this small on both sides
+                # cannot move the off-norm past tol
                 if abs(apq) < 1e-30:
-                    continue
+                    apq = row_q[p]
+                    if abs(apq) < 1e-30:
+                        continue
                 tau = (row_q[q] - row_p[p]) / (2.0 * apq)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)

@@ -70,9 +70,6 @@ class SpectralData:
             window=cs.window,
         )
 
-    def level_indices(self) -> list[int]:
-        return [nearest_level(z) for z in self.active_levels]
-
     def orientation(self) -> int:
         """+1 when secular roots sit above their paired poles (positive
         coupling), -1 when below."""
@@ -99,13 +96,8 @@ def check_interlacing(data: SpectralData) -> int:
     below = mus[0] < poles[0]
     if above == below:
         raise MalformedSpectrumError("secular roots must overshoot exactly one end")
-    if above:
-        bounds = poles + [math.inf]
-        ok = all(bounds[j] < mus[j] < bounds[j + 1] for j in range(len(mus)))
-    else:
-        bounds = [-math.inf] + poles
-        ok = all(bounds[j] < mus[j] < bounds[j + 1] for j in range(len(mus)))
-    if not ok:
+    bounds = poles + [math.inf] if above else [-math.inf] + poles
+    if not all(bounds[j] < mus[j] < bounds[j + 1] for j in range(len(mus))):
         raise MalformedSpectrumError("secular roots do not alternate with active levels")
     return 1 if above else -1
 
@@ -144,12 +136,6 @@ def _normalization(poles, mus, extra) -> float:
     if extra is not None:
         limit *= -1.0 / extra
     return _PI_SQ / limit
-
-
-def spectral_ratio(data: SpectralData, z) -> complex:
-    """The normalized ratio function F(z): 1 + sum X_k/(4k^2 - z) for data
-    coming from an actual operator."""
-    return normalization_constant(data) * _ratio_product(data, z)
 
 
 def weights_from_spectrum(data: SpectralData) -> WeightTable:

@@ -116,9 +116,6 @@ class WeightTable:
     alpha: Optional[float]
     active: tuple[int, ...]
 
-    def active_weights(self) -> dict[int, float]:
-        return {k: self.weights[k] for k in self.active}
-
     def norms(self) -> dict[int, float]:
         if self.alpha is None:
             raise ValueError("weight table carries no coupling constant")

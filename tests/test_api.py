@@ -1,7 +1,9 @@
-"""The public surface: names exported by the package and the members of
-Eigenfunction. A change here is an API change and belongs in CHANGES.md."""
+"""The public surface: names exported by the package, the members of
+Eigenfunction and the signatures of the characteristic-function entry
+points. A change here is an API change and belongs in CHANGES.md."""
 
 import dataclasses
+import inspect
 
 import rankonespec
 from rankonespec import Eigenfunction
@@ -66,3 +68,20 @@ def test_eigenfunction_members():
     assert fields == ["kind", "series", "level", "lam"]
     assert callable(Eigenfunction.__call__)
     assert callable(Eigenfunction.derivative)
+
+
+def test_transform_signatures():
+    # the transforms are pure functions of (spec, lam): no series switch
+    for name in (
+        "fourier_transform",
+        "fourier_transform_star",
+        "autocorr_transform",
+        "autocorr_transform_star",
+    ):
+        assert list(inspect.signature(getattr(rankonespec, name)).parameters) == ["spec", "lam"]
+
+
+def test_char_context_signature():
+    # the context's radius and term count govern the origin series only
+    params = list(inspect.signature(rankonespec.CharContext).parameters)
+    assert params == ["operator", "singularity_radius", "series_terms"]

@@ -126,24 +126,9 @@ class TestCharPerturbed:
         op = random_operator(rng)
         spec = op.potential
         for lam in np.linspace(0.3, 20.0, 50):
-            r = charfn._edge_factor(spec, np.array([lam + 0j]), 1e-4, 8)[0]
-            r_star = np.conj(
-                charfn._edge_factor(spec, np.array([np.conj(lam + 0j)]), 1e-4, 8)[0]
-            )
+            r = charfn._edge_factor(spec, np.array([lam + 0j]))[0]
+            r_star = np.conj(charfn._edge_factor(spec, np.array([np.conj(lam + 0j)]))[0])
             assert abs(r_star + r) <= 1e-10 * max(1.0, abs(r))
-
-    def test_continuity_across_lattice_switch(self):
-        # closed-form and series paths agree at exactly the switch distance
-        radius = 1e-4
-        spec = build_potential(0.4, [(k, 0.3 / k, -0.2 / k) for k in range(1, 9)])
-        for k in range(0, 9):
-            lam = 2.0 * k + radius
-            series = charfn.fourier_transform(spec, lam, radius=2 * radius)
-            closed = charfn.fourier_transform(spec, lam, radius=radius / 2)
-            assert abs(series - closed) < 1e-9
-            series = charfn.autocorr_transform(spec, lam, radius=2 * radius)
-            closed = charfn.autocorr_transform(spec, lam, radius=radius / 2)
-            assert abs(series - closed) < 1e-9
 
     def test_continuity_across_origin_switch(self):
         op = OperatorSpec(1.5, build_potential(0.5, [(1, 0.6, 0.2)]))
@@ -230,12 +215,15 @@ def test_secular_function_decays_left_of_spectrum(z):
 # --- the shared-exponential kernel against a per-shift reference ----------
 #
 # The reference is the straightforward evaluation the kernel replaces: every
-# shift lam + 2j gets its own exponential and its own closed form or series,
-# the autocorrelation tables come from the O(K^2) pair loop, and the
+# shift lam + 2j gets its own exponential and its own closed form or series
+# (the series inside a fixed lattice radius, whatever the context), the
+# autocorrelation tables come from the O(K^2) pair loop, and the
 # star-conjugate transforms come from their definitions.
 
 _REF_RAMP_CUTOFF = 0.5
 _REF_RAMP_TERMS = 24
+_REF_LATTICE_RADIUS = 1e-4
+_REF_LATTICE_TERMS = 8
 
 
 def _unit_transform(mu, radius, terms):
@@ -299,47 +287,52 @@ def _ref_tables(spec):
     return ce, cf
 
 
-def ref_fourier(spec, lam, radius=1e-4, terms=8):
+def ref_fourier(spec, lam):
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     ms, amps = exp_coefficients(spec)
     out = np.zeros_like(lam)
     for m, a in zip(ms, amps):
-        out = out + a * _unit_transform(lam - 2.0 * m, radius, terms)
+        out = out + a * _unit_transform(lam - 2.0 * m, _REF_LATTICE_RADIUS, _REF_LATTICE_TERMS)
     return out
 
 
-def ref_autocorr(spec, lam, radius=1e-4, terms=8):
+def ref_autocorr(spec, lam):
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     ce, cf = _ref_tables(spec)
     out = np.zeros_like(lam)
     for j in set(ce) | set(cf):
         mu = lam + 2.0 * j
         if ce.get(j, 0.0) != 0.0:
-            out = out + ce[j] * _unit_transform(mu, radius, terms)
+            out = out + ce[j] * _unit_transform(mu, _REF_LATTICE_RADIUS, _REF_LATTICE_TERMS)
         if cf.get(j, 0.0) != 0.0:
-            out = out + cf[j] * _ramp_transform(mu, radius, terms)
+            out = out + cf[j] * _ramp_transform(mu, _REF_LATTICE_RADIUS, _REF_LATTICE_TERMS)
     return out
 
 
-def _ref_odd_ratio(spec, lam, radius, terms):
+def _ref_star(ref, spec, lam):
+    return np.conj(ref(spec, np.conj(np.asarray(lam, dtype=complex))))
+
+
+def _ref_odd_ratio(spec, lam):
     def edge(x):
-        ft = ref_fourier(spec, x, radius, terms)
-        fts = np.conj(ref_fourier(spec, np.conj(x), radius, terms))
-        ac = ref_autocorr(spec, x, radius, terms)
+        ft = ref_fourier(spec, x)
+        fts = _ref_star(ref_fourier, spec, x)
+        ac = ref_autocorr(spec, x)
         return one_minus_exp(-1j * PI * x) * (ac * one_minus_exp(1j * PI * x) - ft * fts)
 
     return (edge(lam) - edge(-lam)) / (2j * lam)
 
 
 def ref_char_perturbed(op, lam, radius=1e-4, terms=8):
+    """The perturbed function; radius and terms set the origin series."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     out = one_minus_exp(1j * PI * lam) + one_minus_exp(-1j * PI * lam)
     near = np.abs(lam) < radius
     far = ~near
-    out[far] += op.alpha * _ref_odd_ratio(op.potential, lam[far], radius, terms)
+    out[far] += op.alpha * _ref_odd_ratio(op.potential, lam[far])
     if np.any(near):
         ring = 0.5 * np.exp(2j * PI * np.arange(32) / 32)
-        coeffs = np.fft.fft(_ref_odd_ratio(op.potential, ring, radius, terms)) / 32
+        coeffs = np.fft.fft(_ref_odd_ratio(op.potential, ring)) / 32
         orders = np.arange(0, 2 * terms, 2)
         poly = coeffs[orders] / 0.5 ** orders
         out[near] += op.alpha * np.polynomial.polynomial.polyval(lam[near] ** 2, poly)
@@ -350,8 +343,10 @@ def _assert_kernel_matches(op, lam, radius=1e-4, terms=8):
     spec = op.potential
     ctx = charfn.CharContext(op, singularity_radius=radius, series_terms=terms)
     for got, ref in (
-        (charfn.fourier_transform(spec, lam, radius, terms), ref_fourier(spec, lam, radius, terms)),
-        (charfn.autocorr_transform(spec, lam, radius, terms), ref_autocorr(spec, lam, radius, terms)),
+        (charfn.fourier_transform(spec, lam), ref_fourier(spec, lam)),
+        (charfn.autocorr_transform(spec, lam), ref_autocorr(spec, lam)),
+        (charfn.fourier_transform_star(spec, lam), _ref_star(ref_fourier, spec, lam)),
+        (charfn.autocorr_transform_star(spec, lam), _ref_star(ref_autocorr, spec, lam)),
         (charfn.char_perturbed(ctx, lam), ref_char_perturbed(op, lam, radius, terms)),
     ):
         assert np.shape(got) == np.shape(lam)
@@ -364,7 +359,10 @@ _KERNEL_OPS = (
     ),
     OperatorSpec(2.4, build_potential(0.0, [(2, 0.6, 0.1), (5, -0.2, 0.7)])),
 )
-_LATTICE = np.array([2.0 * k + d for k in range(-4, 18) for d in (0.0, 1e-6, -1e-6, 1e-6j)])
+# subnormal offsets too, where the closed form's division by r would overflow
+_LATTICE = np.array(
+    [2.0 * k + d for k in range(-4, 18) for d in (0.0, 1e-6, -1e-6, 1e-6j, 1e-310j, -5e-324)]
+)
 
 
 class TestKernelAgainstPerShiftReference:
@@ -411,6 +409,64 @@ class TestKernelAgainstPerShiftReference:
         lam = np.array([0.0, 1.5, 2.0, 3.0 + 1.0j])
         assert np.all(charfn.fourier_transform(spec, lam) == 0.0)
         assert np.all(charfn.autocorr_transform(spec, lam) == 0.0)
+
+
+def _nearest_shift_offsets():
+    """r = 0, +-1e-20i, real and complex offsets with |r| in 1e-16..1e-3, and
+    offsets down to the subnormal range, where r cannot divide E."""
+    sizes = np.concatenate([np.logspace(-16.0, -3.0, 27), [1e-150, 1e-200, 1e-308, 1e-310, 5e-324]])
+    directions = np.exp(1j * PI * np.array([0.0, 0.2, 0.5, 0.75, 1.0, 1.3]))
+    return np.concatenate([[0.0, 1e-20j, -1e-20j], np.outer(sizes, directions).ravel()])
+
+
+class TestSwitchFreeKernel:
+    def test_nearest_shift_values_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        r = _nearest_shift_offsets()
+        u, x = charfn._nearest_shift_values(r, one_minus_exp(-1j * PI * r))
+        for rk, uk, xk in zip(r, u, x):
+            # 1 - e cancels about -log10 |r| digits, X twice that
+            digits = 40 - 2 * int(math.log10(abs(rk))) if rk else 40
+            with mpmath.workdps(digits):
+                mu = mpmath.mpc(rk.real, rk.imag)
+                if rk == 0:
+                    want_u, want_x = mpmath.pi, mpmath.pi ** 2 / 2
+                else:
+                    e = mpmath.exp(-1j * mpmath.pi * mu)
+                    want_u = (1 - e) / (1j * mu)
+                    want_x = 1j * mpmath.pi * e / mu - (1 - e) / mu ** 2
+                for got, want in ((uk, want_u), (xk, want_x)):
+                    error = abs(mpmath.mpc(got.real, got.imag) - want)
+                    assert float(error) <= 4 * np.spacing(float(abs(want))), (rk, got)
+
+    @pytest.mark.parametrize("op", _KERNEL_OPS)
+    def test_context_does_not_reach_the_lattice(self, op):
+        # the origin settings change nothing away from the origin
+        lam = (2.0 * np.array([1.0, 2.0, 5.0])[:, None] + np.array([0.1, -0.2, 0.24j])).ravel()
+        default = charfn.char_perturbed(charfn.CharContext(op), lam)
+        coarse = charfn.char_perturbed(charfn.CharContext(op, 0.25, 4), lam)
+        assert np.all(np.abs(coarse - default) <= 1e-13 * np.abs(default))
+
+    @pytest.mark.parametrize(
+        "star", [charfn.fourier_transform_star, charfn.autocorr_transform_star]
+    )
+    def test_star_transform_is_one_kernel_pass(self, monkeypatch, star):
+        # one pass at lam itself, read from its -lam row, not a second pass
+        # at conj(lam)
+        calls = []
+        kernel = charfn._transforms
+
+        def counted(spec, lam):
+            calls.append(lam.copy())
+            return kernel(spec, lam)
+
+        monkeypatch.setattr(charfn, "_transforms", counted)
+        spec = _KERNEL_OPS[0].potential
+        for lam in (np.array([0.3, 2.0 + 1e-6j, -4.5 + 0.7j]), 1.7 - 0.2j):
+            calls.clear()
+            star(spec, lam)
+            assert len(calls) == 1
+            assert np.array_equal(calls[0], np.atleast_1d(lam))
 
 
 @st.composite

@@ -144,9 +144,9 @@ def test_validate_makes_one_grid_kernel_pass(tmp_path, monkeypatch):
     sizes = []
     kernel = charfn._transforms
 
-    def counted(spec, lam, radius, terms):
+    def counted(spec, lam):
         sizes.append(lam.size)
-        return kernel(spec, lam, radius, terms)
+        return kernel(spec, lam)
 
     monkeypatch.setattr(charfn, "_transforms", counted)
     out = tmp_path / "report.json"

@@ -191,6 +191,17 @@ class TestDeflation:
         assert np.array_equal(ev, full_matrix_jacobi(a, tol=1e-14))
         assert ev[0] < 1.0
 
+    @pytest.mark.parametrize("dim, lower", [(2, {(1, 0): 1e-12}), (3, {(2, 0): 1e-12, (2, 1): 3e-13})])
+    def test_lower_triangle_entry_rotates(self, dim, lower):
+        # within the symmetry tolerance a pair may be nonzero below the
+        # diagonal alone; the off-norm counts it, so the sweep must rotate it
+        a = np.diag(np.arange(1.0, dim + 1.0))
+        for index, value in lower.items():
+            a[index] = value
+        ev = jacobi_eigenvalues(a, tol=1e-14)
+        assert ev.tobytes() == jacobi_eigenvalues(a.T.copy(), tol=1e-14).tobytes()
+        assert np.array_equal(ev, np.arange(1.0, dim + 1.0))
+
     def test_noisy_asymmetric_bit_identical(self, rng):
         # the upper triangle differs from the lower by noise inside the
         # symmetry tolerance; with planted rows, some of that noise is the
