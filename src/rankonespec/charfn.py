@@ -21,10 +21,9 @@ closed form of U keeps full relative accuracy, since E comes from expm1, and
 X switches to a fixed full-precision series, so the transforms are pure
 functions of (spec, lam) with no switch to configure. On top of the
 transforms sit the characteristic functions of the unperturbed and perturbed
-operators. The odd-ratio factor entering the perturbed function has its own
-removable singularity at lambda = 0, a 0/0 that no closed form resolves;
-inside a configurable radius of the origin it is evaluated from numerically
-extracted Taylor coefficients.
+operators. The perturbed function's odd-ratio factor is U(mu) times a
+product of transforms at one member mu of {+-lam, +-conj(lam)}, so it has
+no removable singularity to resolve, at the origin or anywhere else.
 
 All evaluators accept scalar or ndarray lambda (real or complex) and return
 complex values of matching shape.
@@ -42,10 +41,10 @@ from .errors import PoleError
 from .numerics import one_minus_exp
 from .potential import OperatorSpec, PotentialSpec, exp_coefficients
 
-DEFAULT_SINGULARITY_RADIUS = 1e-4
-DEFAULT_SERIES_TERMS = 8
-
 _PI = math.pi
+# |Im lam| near which the perturbed function, of size e^{pi |Im lam|},
+# leaves the float range
+_IMAG_LIMIT = math.log(np.finfo(float).max) / _PI
 # machine-precision series window for the ramp integral, whose closed form
 # subtracts two O(pi) quantities
 _RAMP_SERIES_CUTOFF = 0.5
@@ -72,18 +71,25 @@ def _ramp_series(mu):
     return _PI * _PI * out
 
 
+def _unit_integral(mu, big_e):
+    """U(mu) = -i E / mu, with E = 1 - e^{-i pi mu} from expm1, so U keeps
+    full relative accuracy down to mu = 0, where it is pi."""
+    # below |mu| = 1e-150 the division can leave the float range (at a
+    # subnormal mu), and U = pi (1 - i pi mu / 2 + ...) is pi to rounding
+    tiny = np.abs(mu) < 1e-150
+    u = -1j * big_e / np.where(tiny, 1.0, mu)
+    u[tiny] = _PI
+    return u
+
+
 def _nearest_shift_values(r, big_e):
     """U(r) and X(r) at the shift nearest the lattice, |Re r| <= 1.
 
-    E = 1 - e^{-i pi r} comes from expm1, so U = -i E / r keeps full relative
-    accuracy down to r = 0, where U = pi. The closed form of X subtracts two
-    O(pi) terms, so X takes a full-precision series on |r| < 0.5.
+    U comes from its closed form (_unit_integral). The closed form of X
+    subtracts two O(pi) terms, so X takes a full-precision series on
+    |r| < 0.5.
     """
-    # below |r| = 1e-150 the division can leave the float range (at a
-    # subnormal r), and U = pi (1 - i pi r / 2 + ...) is pi to rounding
-    tiny = np.abs(r) < 1e-150
-    u = -1j * big_e / np.where(tiny, 1.0, r)
-    u[tiny] = _PI
+    u = _unit_integral(r, big_e)
     near = np.abs(r) < _RAMP_SERIES_CUTOFF
     far = ~near
     x = np.empty_like(r)
@@ -237,128 +243,59 @@ def char_unperturbed(lam):
     return out[0] if scalar else out
 
 
-def _edge_factors(kernel):
-    """R(lam) and R(-lam) from the kernel output _transforms(spec, lam), where
-
-        R(lam) = (1 - e^{-i lam pi}) { AC(lam)(1 - e^{i lam pi}) - F(lam) F*(lam) }.
-
-    The potential is real, so F*(lam) = F(-lam) and one evaluation of the
-    transforms at +-lam serves both factors.
-    """
-    (e_plus, e_minus), (f_plus, f_minus), (ac_plus, ac_minus) = kernel
-    # F(lam) F(-lam), formed in real arithmetic so that it does not depend on
-    # the order of the factors (numpy's complex multiply may fuse, and then
-    # x * y and y * x can differ in the last bit)
-    product = (f_plus.real * f_minus.real - f_plus.imag * f_minus.imag) + 1j * (
-        f_plus.real * f_minus.imag + f_plus.imag * f_minus.real
-    )
-    return (
-        e_plus * (ac_plus * e_minus - product),
-        e_minus * (ac_minus * e_plus - product),
-    )
-
-
-def _edge_factor(spec, lam):
-    """R(lam) on a 1-d complex array (see _edge_factors)."""
-    return _edge_factors(_transforms(spec, lam))[0]
-
-
-def _flipped(lam):
-    """Where -lam is the even member of +-lam: Re lam < 0, or Im lam < 0 on
-    the imaginary axis."""
-    return (lam.real < 0.0) | ((lam.real == 0.0) & (lam.imag < 0.0))
-
-
-def _odd_ratio_direct(spec, lam):
-    """(R(lam) - R(-lam)) / (2i lam), valid away from lam = 0, and the kernel
-    output it was formed from.
-
-    The ratio is even; it is evaluated at the member of +-lam with Re lam > 0
-    (Im lam > 0 on the imaginary axis), so it comes out exactly even, and the
-    kernel is the one at that member. As conj(lam) is then evaluated from the
-    conjugate member, the ratio also comes out exactly star-symmetric.
-    """
-    lam = np.where(_flipped(lam), -lam, lam)
-    kernel = _transforms(spec, lam)
-    r_plus, r_minus = _edge_factors(kernel)
-    return (r_plus - r_minus) / (2j * lam), kernel
-
-
 class CharContext:
-    """Evaluation context: operator plus the origin series switch.
+    """Evaluation context: the operator whose characteristic functions are
+    evaluated. The perturbed function has one closed form everywhere, so
+    there is nothing else to configure."""
 
-    singularity_radius is the distance to the origin below which the
-    odd-ratio factor comes from its truncated Taylor series in lam**2, and
-    series_terms is the number of terms; they govern nothing else, as the
-    transforms need no series switch on the even-integer lattice. The
-    coefficients are extracted once per context from a 32-point circle of
-    radius 0.5 via FFT (the odd-ratio factor is entire and even, so only
-    even powers carry). At the widest radius, 0.25, the series needs about
-    8 terms for full precision at its edge.
-    """
-
-    _CIRCLE_POINTS = 32
-    _CIRCLE_RADIUS = 0.5
-
-    def __init__(
-        self,
-        operator: OperatorSpec,
-        singularity_radius: float = DEFAULT_SINGULARITY_RADIUS,
-        series_terms: int = DEFAULT_SERIES_TERMS,
-    ):
-        if not 0.0 < singularity_radius <= 0.25:
-            raise ValueError("singularity_radius must lie in (0, 0.25]")
-        if series_terms < 4:
-            raise ValueError("series_terms must be at least 4")
+    def __init__(self, operator: OperatorSpec):
         self.operator = operator
-        self.singularity_radius = float(singularity_radius)
-        self.series_terms = int(series_terms)
-        self._origin_coeffs: np.ndarray | None = None
 
-    def origin_coeffs(self) -> np.ndarray:
-        """Even Taylor coefficients of the odd-ratio factor at the origin,
-        as a polynomial in lam**2 (ascending, series_terms entries)."""
-        if self._origin_coeffs is None:
-            m = self._CIRCLE_POINTS
-            rho = self._CIRCLE_RADIUS
-            theta = 2.0 * _PI * np.arange(m) / m
-            ring = rho * np.exp(1j * theta)
-            vals = _odd_ratio_direct(self.operator.potential, ring)[0]
-            coeffs = np.fft.fft(vals) / m
-            orders = np.arange(0, 2 * self.series_terms, 2)
-            self._origin_coeffs = coeffs[orders] / rho ** orders
-        return self._origin_coeffs
+
+def _canonical(lam):
+    """mu = |Re lam| - i |Im lam|, the member of {+-lam, +-conj(lam)} with
+    Re mu >= 0 and Im mu <= 0, and where D(lam) = conj(D(mu)), i.e. where
+    Re lam Im lam > 0. D is even and star-symmetric, so D(lam) is D(mu)
+    elsewhere."""
+    mu = np.abs(lam.real) - 1j * np.abs(lam.imag)
+    return mu, np.sign(lam.real) * np.sign(lam.imag) > 0.0
 
 
 def _char_parts(ctx, arr):
-    """(D, D0, kernel) on a complex array: the perturbed and unperturbed
-    characteristic functions, and the kernel output that the odd-ratio
-    factor was formed from, at the even member of each point outside the
-    origin switch radius (None when there is no such point)."""
-    d0 = char_unperturbed(arr)
-    out = d0.copy()
-    near = np.abs(arr) < ctx.singularity_radius
-    far = ~near
-    kernel = None
-    if np.any(far):
-        ratio, kernel = _odd_ratio_direct(ctx.operator.potential, arr[far])
-        out[far] = out[far] + ctx.operator.alpha * ratio
-    if np.any(near):
-        poly = ctx.origin_coeffs()
-        u = arr[near] ** 2
-        out[near] = out[near] + ctx.operator.alpha * np.polynomial.polynomial.polyval(
-            u, poly
+    """(D, D0, mu, kernel) on a complex array: the perturbed characteristic
+    function at arr, and the unperturbed one, the canonical member and the
+    kernel output, all at mu = _canonical(arr).
+
+    With E(lam) = 1 - e^{-i pi lam} and R(lam) = E(lam){AC(lam) E(-lam) -
+    F(lam) F(-lam)}, the perturbed function is D0 + alpha (R(lam) - R(-lam))
+    / (2i lam). Criterion 3's identity AC + AC* = F F* and E(lam) E(-lam) =
+    E(lam) + E(-lam) make R odd, so the odd ratio is R(mu) / (i mu) =
+    U(mu){AC(mu) E(-mu) - F(mu) F(-mu)}, with U the unit integral. There is
+    no 0/0 at the origin, where U = pi. With Im mu <= 0, each factor has the
+    size of the result: on the imaginary axis U, E(mu) and AC(mu) are O(1),
+    E(-mu) and F(-mu) O(e^{pi |Im lam|}).
+    """
+    mu, flip = _canonical(arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = _transforms(ctx.operator.potential, mu)
+        (e, e_neg), (f, f_neg), (ac, _) = kernel
+        d0 = e_neg + e
+        d = d0 + ctx.operator.alpha * _unit_integral(mu, e) * (ac * e_neg - f * f_neg)
+    bad = ~np.isfinite(d) & np.isfinite(arr)
+    if np.any(bad):
+        raise OverflowError(
+            f"perturbed characteristic function at lam={arr[bad][0]} exceeds the "
+            f"float range; it grows like e^(pi |Im lam|), past about "
+            f"|Im lam| = {_IMAG_LIMIT:.0f}"
         )
-    return out, d0, kernel
+    return np.where(flip, np.conj(d), d), d0, mu, kernel
 
 
 def char_perturbed(ctx: CharContext, lam):
-    """Characteristic function of the perturbed operator.
-
-    Equals the unperturbed function plus coupling times the odd-ratio factor;
-    inside the origin switch radius the factor is evaluated from its cached
-    even Taylor series, which in particular fixes the finite value at lam = 0.
-    """
+    """Characteristic function of the perturbed operator, from one kernel
+    pass at the canonical member of lam (see _char_parts), so that it is
+    exactly even and star-symmetric. Raises OverflowError where a finite lam
+    takes it beyond the float range."""
     arr, scalar = _as_lambda_array(lam)
     out = _char_parts(ctx, arr)[0]
     return out[0] if scalar else out
@@ -386,17 +323,16 @@ def char_with_autocorr_residual(ctx: CharContext, lam):
     """char_perturbed, char_unperturbed and the autocorrelation identity
     residual |AC + AC* - F F*| at lam, as (D, D0, residual).
 
-    Where every point has Re lam > 0 and lies outside the origin switch
-    radius, as on diagnostics.identity_grid, the kernel that D is formed
-    from is the one at lam itself, and one kernel pass serves all three.
-    Elsewhere the residual takes a second pass. Each result equals bit for
-    bit the public evaluator's.
+    Where every point is its own canonical member (Re lam >= 0, Im lam <=
+    0), as on diagnostics.identity_grid, the kernel that D is formed from is
+    the one at lam itself, and one kernel pass serves all three. Elsewhere
+    D0 and the residual take a second pass. Each result equals bit for bit
+    the public evaluator's.
     """
     arr, scalar = _as_lambda_array(lam)
-    d, d0, kernel = _char_parts(ctx, arr)
-    if kernel is None or kernel.shape[-1] != arr.size or np.any(_flipped(arr)):
-        kernel = _transforms(ctx.operator.potential, arr)
-    kernel = kernel.reshape((3, 2) + arr.shape)
+    d, d0, mu, kernel = _char_parts(ctx, arr)
+    if not np.array_equal(mu, arr):
+        d0, kernel = char_unperturbed(arr), _transforms(ctx.operator.potential, arr)
     if scalar:
         return d[0], d0[0], _autocorr_residual(kernel[..., 0])
     return d, d0, _autocorr_residual(kernel)
