@@ -106,6 +106,7 @@ def _lattice_offset(lam):
     return n, lam - 2.0 * n
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _transforms(spec, lam):
     """(E, F, AC) at lam and at -lam, as one array of shape (3, 2) + lam.shape.
 
@@ -172,10 +173,25 @@ def _transforms(spec, lam):
     return out.reshape((3, 2) + shape)
 
 
+def _in_float_range(name, lam, value):
+    """value, unless it is not finite at a finite lam: there, OverflowError
+    naming the function and the limit. Every evaluator grows like
+    e^{pi |Im lam|} and runs under np.errstate, so no warning escapes and
+    only its own result decides, not an intermediate or another row."""
+    bad = ~np.isfinite(value) & np.isfinite(lam)
+    if np.any(bad):
+        raise OverflowError(
+            f"{name} at lam={lam[bad][0]} exceeds the float range; it grows like "
+            f"e^(pi |Im lam|), past about |Im lam| = {_IMAG_LIMIT:.0f}"
+        )
+    return value
+
+
 def _kernel_row(spec, lam, row, sign):
     """One row of the kernel output at lam, shaped like lam."""
     arr, scalar = _as_lambda_array(lam)
     out = _transforms(spec, arr)[row, sign]
+    _in_float_range("Fourier transform" if row == 1 else "autocorrelation transform", arr, out)
     return out[0] if scalar else out.copy()
 
 
@@ -239,7 +255,9 @@ def char_unperturbed(lam):
     """
     arr, scalar = _as_lambda_array(lam)
     r = _lattice_offset(arr)[1]
-    out = one_minus_exp(1j * _PI * r) + one_minus_exp(-1j * _PI * r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = one_minus_exp(1j * _PI * r) + one_minus_exp(-1j * _PI * r)
+    _in_float_range("unperturbed characteristic function", arr, out)
     return out[0] if scalar else out
 
 
@@ -276,18 +294,12 @@ def _char_parts(ctx, arr):
     E(-mu) and F(-mu) O(e^{pi |Im lam|}).
     """
     mu, flip = _canonical(arr)
+    kernel = _transforms(ctx.operator.potential, mu)
+    (e, e_neg), (f, f_neg), (ac, _) = kernel
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel = _transforms(ctx.operator.potential, mu)
-        (e, e_neg), (f, f_neg), (ac, _) = kernel
         d0 = e_neg + e
         d = d0 + ctx.operator.alpha * _unit_integral(mu, e) * (ac * e_neg - f * f_neg)
-    bad = ~np.isfinite(d) & np.isfinite(arr)
-    if np.any(bad):
-        raise OverflowError(
-            f"perturbed characteristic function at lam={arr[bad][0]} exceeds the "
-            f"float range; it grows like e^(pi |Im lam|), past about "
-            f"|Im lam| = {_IMAG_LIMIT:.0f}"
-        )
+    _in_float_range("perturbed characteristic function", arr, d)
     return np.where(flip, np.conj(d), d), d0, mu, kernel
 
 
@@ -301,22 +313,23 @@ def char_perturbed(ctx: CharContext, lam):
     return out[0] if scalar else out
 
 
-def _autocorr_residual(kernel):
-    """|AC + AC* - F F*| from the kernel output at lam. The potential is
+def _autocorr_residual(kernel, arr, scalar):
+    """|AC + AC* - F F*| from the kernel output at arr. The potential is
     real, so row 1 (the values at -lam) holds F* and AC* bit for bit.
 
-    At a scalar lam, pass kernel[..., 0]: numpy's scalar arithmetic can
-    differ from its array loops in the last bit, and the public transforms
-    return scalars there."""
-    _, (f, f_star), (ac, ac_star) = kernel
-    return np.abs((ac + ac_star) - f * f_star)
+    At a scalar lam the residual is formed from kernel[..., 0]: numpy's
+    scalar arithmetic can differ from its array loops in the last bit, and
+    the public transforms return scalars there."""
+    _, (f, f_star), (ac, ac_star) = kernel[..., 0] if scalar else kernel
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.abs((ac + ac_star) - f * f_star)
+    return _in_float_range("autocorrelation identity residual", arr, out)
 
 
 def autocorr_identity_residual(spec: PotentialSpec, lam):
     """|AC + AC* - F F*| at lam, from one pass of the transform kernel."""
     arr, scalar = _as_lambda_array(lam)
-    kernel = _transforms(spec, arr)
-    return _autocorr_residual(kernel[..., 0] if scalar else kernel)
+    return _autocorr_residual(_transforms(spec, arr), arr, scalar)
 
 
 def char_with_autocorr_residual(ctx: CharContext, lam):
@@ -333,9 +346,10 @@ def char_with_autocorr_residual(ctx: CharContext, lam):
     d, d0, mu, kernel = _char_parts(ctx, arr)
     if not np.array_equal(mu, arr):
         d0, kernel = char_unperturbed(arr), _transforms(ctx.operator.potential, arr)
+    residual = _autocorr_residual(kernel, arr, scalar)
     if scalar:
-        return d[0], d0[0], _autocorr_residual(kernel[..., 0])
-    return d, d0, _autocorr_residual(kernel)
+        return d[0], d0[0], residual
+    return d, d0, residual
 
 
 def secular_function(alpha: float, norms: Mapping[int, float], z):

@@ -143,6 +143,22 @@ class TestCharPerturbed:
         with pytest.raises(OverflowError, match="float range"):
             charfn.char_with_autocorr_residual(ctx, 230j)
 
+    def test_every_evaluator_guards_the_float_range(self):
+        # each raises OverflowError where its own value leaves the float
+        # range; F(-230i) is finite although the kernel's row at +230i
+        # overflows, and no RuntimeWarning escapes (pyproject makes one an
+        # error)
+        for evaluate in (
+            lambda: charfn.char_unperturbed(230j),
+            lambda: charfn.fourier_transform(CONST, 230j),
+            lambda: charfn.autocorr_transform_star(CONST, -230j),
+            lambda: charfn.autocorr_identity_residual(CONST, np.array([1.0, 230j])),
+        ):
+            with pytest.raises(OverflowError, match="float range"):
+                evaluate()
+        want = -math.expm1(-230.0 * PI) / (230.0 * math.sqrt(PI))
+        assert charfn.fourier_transform(CONST, -230j) == pytest.approx(want, rel=1e-14)
+
     @pytest.mark.parametrize(
         "lam",
         [

@@ -305,6 +305,39 @@ def test_synth_accept_and_reject(tmp_path):
     assert payload["operator"] is None
 
 
+def test_synth_and_inverse_with_a_root_on_zero(tmp_path):
+    # alpha = -4 and v = sqrt(2/pi) cos 2x put a secular root on the
+    # inactive constant level: the base spectrum holds an exact 0.0
+    # coincident entry
+    v = build_potential(0.0, [(1, 1.0, 0.0)])
+    order = 4
+    w, what = companions(v, order)
+    window = 4.0 * (order + 1) ** 2
+    base = classify_spectrum(OperatorSpec(-4.0, v), window).to_dict()
+    assert base["entries"][0] == {"z": 0.0, "m": 2, "tag": "coincident"}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(dumps_canonical(base))
+    out = tmp_path / "synth.json"
+    assert main(["synth", "--input", str(spec_path), "--output", str(out)]) == 0
+    assert read_json(out)["operator"]["alpha"] == pytest.approx(-4.0, rel=1e-12)
+
+    record = {
+        "base": base,
+        "shifted": classify_spectrum(OperatorSpec(-4.0, w), window).to_dict(),
+        "squared": classify_spectrum(OperatorSpec(-4.0, what), window).to_dict(),
+        "K": order,
+    }
+    inp = tmp_path / "three.json"
+    inp.write_text(dumps_canonical(record))
+    out = tmp_path / "rec.json"
+    assert main(["inverse", "--input", str(inp), "--output", str(out)]) == 0
+    rec = read_json(out)
+    assert rec["alpha"] == pytest.approx(-4.0, rel=1e-12)
+    assert {t["k"]: (t["c"], t["s"]) for t in rec["potential"]["terms"]}[1] == pytest.approx(
+        (1.0, 0.0), abs=1e-12
+    )
+
+
 def test_error_json_on_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankonespec.errors import (
     DegenerateOperatorError,
@@ -17,7 +19,6 @@ from rankonespec.recovery import (
     check_interlacing,
     invert_three_spectra,
     magnitudes_from_two_spectra,
-    normalization_constant,
     synthesize_from_admissible,
     weights_from_char_derivative,
     weights_from_spectrum,
@@ -29,10 +30,21 @@ from conftest import random_operator, random_potential
 ROOT_LO = 0.4384471871911697
 ROOT_HI = 4.561552812808831
 CONST = build_potential(1.0)
+COS2 = build_potential(0.0, [(1, 1.0, 0.0)])  # v = sqrt(2/pi) cos 2x
 
 
 def forward_data(op, window):
     return SpectralData.from_classified(classify_spectrum(op, window))
+
+
+def zero_root_operators():
+    """Operators with a secular root on z = 0 below an inactive constant
+    level: alpha = -1 / sum ||v_k||^2 / (4k^2) makes q(0) = 0."""
+    rng = np.random.default_rng(80)
+    pairs = [(k, float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))) for k in range(1, 9)]
+    v = build_potential(0.0, pairs, normalize=True)
+    alpha = -1.0 / sum(n / (4.0 * k * k) for k, n in v.level_norms().items() if k)
+    return [OperatorSpec(-4.0, COS2), OperatorSpec(alpha, v)]
 
 
 def three_spectra(alpha, v, order=32):
@@ -70,14 +82,10 @@ class TestWeightsFromSpectrum:
         with pytest.raises(MalformedSpectrumError):
             weights_from_spectrum(d)
 
-    def test_normalization_constant_is_origin_value(self):
-        # the constant equals the perturbed characteristic function at 0,
-        # which is -pi^2 * X_0 for the constant potential
-        d = forward_data(OperatorSpec(1.0, CONST), 40.0)
-        assert normalization_constant(d) == pytest.approx(-math.pi ** 2, rel=1e-7)
-
     def test_weights_finite_at_order_512(self):
-        # unpaired Loewner products overflow at this order
+        # Loewner's formula with its root and level products taken apart
+        # overflows at this order; each root paired with its level keeps
+        # every factor near one
         rng = np.random.default_rng(512)
         pairs = [(k, float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))) for k in range(1, 513)]
         op = OperatorSpec(1.3, build_potential(float(rng.uniform(-1, 1)), pairs))
@@ -85,6 +93,23 @@ class TestWeightsFromSpectrum:
         want = weight_table(op).weights
         assert all(math.isfinite(x) for x in got.values())
         assert max(abs(got[k] - want[k]) / abs(want[k]) for k in want) <= 1e-4
+
+    @pytest.mark.parametrize("op", zero_root_operators())
+    def test_root_on_zero(self, op):
+        # the root is written as an exact 0.0 coincident entry; a route that
+        # divides by the roots returns NaN here
+        d = forward_data(op, 4.0 * (op.potential.K + 1) ** 2)
+        assert d.mus[0] == 0.0 and 0.0 not in d.active_levels
+        got = weights_from_spectrum(d).weights
+        want = weight_table(op).weights
+        assert set(got) == {k for k, x in want.items() if x != 0.0}
+        for k, x in got.items():
+            assert abs(x - want[k]) <= 1e-12 * max(1.0, abs(want[k]))
+        v = op.potential
+        alpha, rec = invert_three_spectra(three_spectra(op.alpha, v, v.K))
+        assert abs(alpha - op.alpha) <= 1e-12 * abs(op.alpha)
+        for k in range(v.K + 1):
+            assert np.allclose(rec.coefficient(k), v.coefficient(k), rtol=0.0, atol=1e-12)
 
 
 class TestAlphaAndNorms:
@@ -215,6 +240,37 @@ class TestTwoSpectraMagnitudes:
         assert mags[1][1] == pytest.approx(0.64, abs=1e-9)
 
 
+WIDE_LEVELS = (4.0, 196.0, 400.0, 1444.0, 1936.0, 2116.0, 2500.0, 2916.0, 7744.0, 12100.0)
+
+
+@st.composite
+def interlacing_data(draw):
+    """Secular roots interlacing an active subset of the levels 4k^2,
+    k <= 64, in either orientation, with an exterior gap from 1e-3 to 1e6,
+    and sometimes the exterior root at 0.0 below an inactive level 0. Each
+    interior root divides its gap at a fraction in [0.05, 0.95], which keeps
+    every weight far above WEIGHT_FLOOR relative to the coupling."""
+    order = draw(st.integers(1, 64))
+    ks = draw(st.lists(st.integers(0, order), min_size=1, max_size=order + 1, unique=True))
+    poles = sorted(4.0 * k * k for k in ks)
+    inner = len(poles) - 1
+    fractions = draw(st.lists(st.floats(0.05, 0.95), min_size=inner, max_size=inner))
+    mus = [p + f * (q - p) for p, q, f in zip(poles, poles[1:], fractions)]
+    gap = 10.0 ** draw(st.floats(-3.0, 6.0))
+    if draw(st.booleans()):
+        mus.append(poles[-1] + gap)
+    elif poles[0] > 0.0 and draw(st.booleans()):
+        mus.insert(0, 0.0)
+    else:
+        mus.insert(0, poles[0] - gap)
+    return SpectralData(
+        active_levels=tuple(poles),
+        mus=tuple(mus),
+        reduced_levels=tuple(p for p in poles if p != 0.0),
+        window=max(poles[-1], mus[-1]),
+    )
+
+
 class TestAdmissibility:
     def test_accepts_forward_generated(self, rng):
         for _ in range(6):
@@ -223,6 +279,54 @@ class TestAdmissibility:
             report = check_admissibility(forward_data(op, window))
             assert report.accepted
             assert report.alpha == pytest.approx(op.alpha, rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [1e6, -1e6])
+    def test_large_coupling_at_order_200(self, alpha):
+        # the forward spectrum of a real operator, exterior root included
+        rng = np.random.default_rng(200)
+        pairs = [(k, float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))) for k in range(1, 201)]
+        op = OperatorSpec(alpha, build_potential(float(rng.uniform(-1, 1)), pairs, normalize=True))
+        report = check_admissibility(forward_data(op, 4.0 * 201 ** 2 + 2.0 * max(alpha, 0.0)))
+        assert report.accepted
+        assert abs(report.alpha - alpha) <= 1e-9 * abs(alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=interlacing_data())
+    @example(
+        data=SpectralData(
+            active_levels=(4.0, 36.0), mus=(0.0, 20.0), reduced_levels=(4.0, 36.0), window=40.0
+        )
+    )
+    @example(
+        # a root near 0 under a coupling near -1e4 comes back 1.5e-12 off,
+        # with kappa eps = 2.4e-13
+        data=SpectralData(
+            active_levels=WIDE_LEVELS,
+            mus=(0.5309220353368813, 13.600000000000001, 206.2, 452.2, 1468.6, 1945.0,
+                 2135.2, 2724.72904911045, 3157.4, 7961.8),
+            reduced_levels=WIDE_LEVELS,
+            window=12100.0,
+        )
+    )
+    def test_interlacing_data_is_admissible(self, data):
+        # finite interlacing data is admissible, and the synthesized
+        # operator has the data's roots: within 1e-12 relative to
+        # max(1, |mu|), plus what rounding the weights to floats moves a root
+        # by. That is kappa eps, with kappa = sum |X_i / (p_i - mu)| / |q'(mu)|
+        # the root's change per unit relative change of every weight; rounding
+        # the synthesized coefficients and solving cost a few times that
+        report = check_admissibility(data)
+        assert report.accepted
+        op = synthesize_from_admissible(report)
+        window = max(4.0, data.active_levels[-1], data.mus[-1]) + 1.0
+        got = np.array(forward_data(op, window).mus)
+        want = np.array(data.mus)
+        assert len(got) == len(want)
+        gaps = np.array(data.active_levels) - want[:, None]
+        terms = np.array(list(report.residues.values())) / gaps
+        kappa = np.abs(terms).sum(axis=1) / np.abs((terms / gaps).sum(axis=1))
+        tol = 1e-12 * np.maximum(1.0, np.abs(want)) + 32 * np.finfo(float).eps * kappa
+        assert np.all(np.abs(got - want) <= tol)
 
     def test_rejects_permuted_roots(self):
         bad = SpectralData(
