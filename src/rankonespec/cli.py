@@ -66,13 +66,8 @@ def _cmd_inverse(args) -> int:
     except KeyError as exc:
         raise ValueError(f"three-spectra record missing field {exc}") from exc
     ts = recovery.ThreeSpectra.from_classified(base, shifted, squared, order)
-    alpha, pot, norms_v = recovery._invert_three_spectra(ts)
-    residuals = []
-    for k in range(0, order + 1):
-        c, s = pot.coefficient(k)
-        residuals.append(
-            {"k": k, "norm_residual": abs(c * c + s * s - norms_v.get(k, 0.0))}
-        )
+    alpha, pot, mismatches = recovery._invert_three_spectra(ts)
+    residuals = [{"k": k, "norm_residual": r} for k, r in enumerate(mismatches)]
     _emit(
         args,
         {"alpha": float(alpha), "potential": pot.to_dict(), "residuals": residuals},

@@ -19,11 +19,13 @@ from .potential import OperatorSpec
 from .spectrum import classify_spectrum, weight_table
 
 LATTICE_EXCLUSION = 0.05
+GRID_STEP = 0.01
+ORACLE_TOL = 1e-8
 
 
-def identity_grid(lam_max: float = 30.0, step: float = 0.01) -> np.ndarray:
-    """Real evaluation grid on [0.05, lam_max] avoiding the even lattice."""
-    grid = np.arange(0.05, lam_max + step / 2.0, step)
+def identity_grid() -> np.ndarray:
+    """Real evaluation grid on [0.05, 30] avoiding the even lattice."""
+    grid = np.arange(0.05, 30.0 + GRID_STEP / 2.0, GRID_STEP)
     dist = np.abs(grid / 2.0 - np.round(grid / 2.0)) * 2.0
     return grid[dist >= LATTICE_EXCLUSION]
 
@@ -40,20 +42,16 @@ def _factorization_residuals(op: OperatorSpec, lam: np.ndarray, d, d0) -> np.nda
     return np.abs(d - q * d0) / np.maximum(1.0, np.abs(d))
 
 
-def autocorr_identity_residuals(op: OperatorSpec, lam: np.ndarray) -> np.ndarray:
-    """|AC + AC* - F F*| on lam, from one pass of the transform kernel."""
-    return charfn.autocorr_identity_residual(op.potential, lam)
-
-
-def identity_report_and_rows(op: OperatorSpec, lam_max: float = 30.0):
-    """identity_report and the validation_csv_rows, from one pass of the
-    transform kernel on the identity grid; the rows come as an iterator.
+def identity_report_and_rows(op: OperatorSpec):
+    """validate's identity report and its CSV rows (lambda, Re perturbed,
+    factorization residual), from one pass of the transform kernel on the
+    identity grid; the rows come as an iterator.
 
     evenness_max and star_symmetry_max are 0.0: char_perturbed evaluates
     every point at its canonical member of {+-lam, +-conj(lam)}, so both
     symmetries hold bit for bit. What evenness asks beyond that, the
     oddness of the edge factor, is the autocorrelation identity."""
-    grid = identity_grid(lam_max)
+    grid = identity_grid()
     d, d0, auto = charfn.char_with_autocorr_residual(charfn.CharContext(op), grid)
     fact = _factorization_residuals(op, grid, d, d0)
     report = {
@@ -68,40 +66,26 @@ def identity_report_and_rows(op: OperatorSpec, lam_max: float = 30.0):
     return report, zip(grid.tolist(), d.real.tolist(), fact.tolist())
 
 
-def identity_report(op: OperatorSpec, lam_max: float = 30.0) -> dict:
-    return identity_report_and_rows(op, lam_max)[0]
-
-
-def validation_csv_rows(op: OperatorSpec, lam_max: float = 30.0):
-    """(lambda, Re perturbed, factorization residual) rows for plotting."""
-    return list(identity_report_and_rows(op, lam_max)[1])
-
-
-def char_samples(op: OperatorSpec, lam_max: float = 30.0, step: float = 0.01):
-    """(lambda, Re perturbed) samples for plotting."""
-    grid = np.arange(step, lam_max + step / 2.0, step)
+def char_samples(op: OperatorSpec, lam_max: float):
+    """(lambda, Re perturbed) samples for plotting on (0, lam_max]."""
+    grid = np.arange(GRID_STEP, lam_max + GRID_STEP / 2.0, GRID_STEP)
     ctx = charfn.CharContext(op)
     d = np.real(charfn.char_perturbed(ctx, grid))
     return list(zip(grid.tolist(), d.tolist()))
 
 
-def oracle_comparison(
-    op: OperatorSpec,
-    window: float,
-    n: Optional[int] = None,
-    cluster_radius: float = 1e-6,
-    tol: float = 1e-8,
-) -> dict:
+def oracle_comparison(op: OperatorSpec, window: float, n: Optional[int] = None) -> dict:
     """Side-by-side table of classified vs oracle eigenvalues up to window.
 
-    The oracle merges eigenvalues closer than cluster_radius into one
-    cluster, so solver entries that close are grouped the same way: each
-    group is matched with one oracle cluster and its multiplicities must add
-    up to the cluster's. Inside a group the solver values, each repeated by
-    its multiplicity, are compared in ascending order with the raw oracle
-    eigenvalues of the cluster, not with their mean, so a secular root
-    within cluster_radius of a reduced level is not charged half their gap.
-    Each row's z_oracle is its matched eigenvalue farthest from z_solver.
+    The oracle merges eigenvalues closer than oracle.CLUSTER_RADIUS into
+    one cluster, so solver entries that close are grouped the same way:
+    each group is matched with one oracle cluster and its multiplicities
+    must add up to the cluster's. Inside a group the solver values, each
+    repeated by its multiplicity, are compared in ascending order with the
+    raw oracle eigenvalues of the cluster, not with their mean, so a secular
+    root that close to a reduced level is not charged half their gap. Each
+    row's z_oracle is its matched eigenvalue farthest from z_solver, and
+    the report passes when every deviation is within ORACLE_TOL.
 
     Raises ValueError when the truncation n leaves out a level inside the
     window, i.e. when the first level above it, 4(n+1)^2, is at most window:
@@ -113,14 +97,14 @@ def oracle_comparison(
         raise ValueError(f"truncation {n} does not reach the window {window}")
     solver = [(e.z, e.multiplicity) for e in classify_spectrum(op, window).entries]
     values = oracle.jacobi_eigenvalues(oracle.truncated_matrix(op, n))
-    clusters = oracle.cluster_eigenvalues(values, cluster_radius)
+    clusters = oracle.cluster_eigenvalues(values, oracle.CLUSTER_RADIUS)
     ends = np.cumsum([m for _, m in clusters])
     truth = [
         (z, m, values[end - m:end].tolist()) for (z, m), end in zip(clusters, ends) if z <= window
     ]
     groups: list[list[tuple[float, int]]] = []
     for zs, ms in solver:
-        if groups and zs - groups[-1][-1][0] <= cluster_radius:
+        if groups and zs - groups[-1][-1][0] <= oracle.CLUSTER_RADIUS:
             groups[-1].append((zs, ms))
         else:
             groups.append([(zs, ms)])
@@ -143,5 +127,5 @@ def oracle_comparison(
         "truncation": n,
         "max_deviation": max_dev,
         "entries": rows,
-        "passed": bool(structure_ok and max_dev <= tol),
+        "passed": bool(structure_ok and max_dev <= ORACLE_TOL),
     }

@@ -20,6 +20,17 @@ def one_minus_exp(z):
     return -np.expm1(np.asarray(z, dtype=complex))
 
 
+def secular_eval(poles: np.ndarray, x: np.ndarray, z: np.ndarray):
+    """For each z: q = 1 + sum_k x_k/(p_k - z), its derivative
+    q' = sum_k x_k/(p_k - z)^2, and eps (n + 2)(1 + sum_k |x_k/(p_k - z)|),
+    the bound on q's rounding error over n poles (n + 2 roundings of terms
+    at most sum |terms| in size). poles may hold one row per z."""
+    gaps = poles - z[:, None]
+    terms = x / gaps
+    rounding = _EPS * (x.shape[-1] + 2) * (1.0 + np.add.reduce(np.abs(terms), axis=1))
+    return 1.0 + np.add.reduce(terms, axis=1), np.add.reduce(terms / gaps, axis=1), rounding
+
+
 def _gap_origins(poles: np.ndarray, x: np.ndarray):
     """Origin pole, the other pole of its two-pole model, start offset and
     bracket of every root of the secular function with ascending poles and
@@ -38,7 +49,7 @@ def _gap_origins(poles: np.ndarray, x: np.ndarray):
     n = len(poles)
     half = 0.5 * (poles[1:] - poles[:-1])
     mid = poles[:-1] + half
-    upper = 1.0 + np.add.reduce(x / (poles - mid[:, None]), axis=1) < 0.0
+    upper = secular_eval(poles, x, mid)[0] < 0.0
     total = float(np.add.reduce(x))
     origin = np.arange(n)  # row n - 1 is the exterior root
     origin[:-1] += upper
@@ -123,21 +134,16 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
     model[3] = model[1] * model[0]
     model[4] = 2.0 * model[3]
     model[5] = 4.0 * model[3]
-    rounding = _EPS * (n + 2)  # w's error bound: n + 2 roundings of terms
     t, live_offsets = tau, offsets
     for _ in range(_MAX_STEPS):
-        gaps = live_offsets - t[:, None]
-        terms = x / gaps
-        w = 1.0 + np.add.reduce(terms, axis=1)
-        dw = np.add.reduce(terms / gaps, axis=1)
+        w, dw, rounding = secular_eval(live_offsets, x, t)
         lo = np.where(w < 0.0, t, lo)
         hi = np.where(w > 0.0, t, hi)
         step = _model_roots(t, w, dw, model)
         away = w * (step - t) > 0.0
         if np.count_nonzero(away):
             step[away] = t[away] - w[away] / dw[away]
-        # w within its own rounding error: at most sum |terms| in size
-        quiet = np.abs(w) <= rounding * (1.0 + np.add.reduce(np.abs(terms), axis=1))
+        quiet = np.abs(w) <= rounding  # w within its own rounding error
         inside = (lo < step) & (step < hi)
         if np.count_nonzero(inside) < inside.size:
             # a step leaving its bracket: a root whose q is quiet stays where
@@ -173,10 +179,8 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     # one Newton step from every root's final offset: a root stopped by its
     # rounding bound can sit anywhere in that band, the step recentres it
-    gaps = offsets - tau[:, None]
-    terms = x / gaps
-    w = 1.0 + np.add.reduce(terms, axis=1)
-    z = poles[origin] + (tau - w / np.add.reduce(terms / gaps, axis=1))
+    w, dw, _ = secular_eval(offsets, x, tau)
+    z = poles[origin] + (tau - w / dw)
     upper = np.empty(n)
     upper[:-1] = poles[1:]
     upper[-1] = np.inf

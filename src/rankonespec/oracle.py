@@ -22,6 +22,7 @@ from .errors import ConvergenceError
 from .potential import OperatorSpec
 
 LATTICE_GUARD = 1e-3  # scan exclusion radius around even integers
+CLUSTER_RADIUS = 1e-6  # eigenvalues closer than this form one cluster
 # complex step of the zero scan: Re D(x + ih) = D(x) - h^2 D''(x)/2 and
 # Im D(x + ih)/h = D'(x) - h^2 D'''(x)/6. Away from the lattice the kernel's
 # intermediates are O(1) and complex, and their rounding swamps a step of
@@ -159,7 +160,7 @@ def jacobi_eigenvalues(
 
 
 def cluster_eigenvalues(
-    values: np.ndarray, cluster_radius: float = 1e-6
+    values: np.ndarray, cluster_radius: float = CLUSTER_RADIUS
 ) -> list[tuple[float, int]]:
     """Group sorted eigenvalues into (mean, multiplicity) clusters: a new
     cluster starts wherever two neighbours are more than cluster_radius
@@ -177,12 +178,9 @@ def cluster_eigenvalues(
     return list(zip(means.tolist(), counts.tolist()))
 
 
-def oracle_spectrum(
-    op: OperatorSpec, n: int, cluster_radius: float = 1e-6
-) -> list[tuple[float, int]]:
+def oracle_spectrum(op: OperatorSpec, n: int) -> list[tuple[float, int]]:
     """Clustered eigenvalues of the truncated matrix."""
-    values = jacobi_eigenvalues(truncated_matrix(op, n))
-    return cluster_eigenvalues(values, cluster_radius)
+    return cluster_eigenvalues(jacobi_eigenvalues(truncated_matrix(op, n)))
 
 
 def scan_char_zeros(

@@ -218,40 +218,41 @@ def invert_three_spectra(ts: ThreeSpectra) -> tuple[float, PotentialSpec]:
     return alpha, potential
 
 
-def _invert_three_spectra(ts: ThreeSpectra) -> tuple[float, PotentialSpec, dict[int, float]]:
-    """invert_three_spectra's (alpha, v), and the level norms of v that the
-    base spectrum gave."""
-    orientation = check_interlacing(ts.base)
-    base_table = weights_from_spectrum(ts.base)
-    alpha, norms_v = alpha_and_norms(base_table, orientation=orientation)
+def _invert_three_spectra(ts: ThreeSpectra) -> tuple[float, PotentialSpec, list[float]]:
+    """invert_three_spectra's (alpha, v), and the norm-identity mismatch
+    |c_k^2 + s_k^2 - ||v_k||^2| that each level k = 0..order passed."""
+    alpha, norms_v = alpha_and_norms(weights_from_spectrum(ts.base))
     norms_w = _norms_scaled(ts.shifted, alpha)
     norms_wh = _norms_scaled(ts.squared, alpha)
 
     sqrt_2pi = math.sqrt(2.0 * math.pi)
     pairs = []
+    mismatches = []
     for k in range(1, ts.order + 1):
         nv = norms_v.get(k, 0.0)
         nw = norms_w.get(k, 0.0)
         nwh = norms_wh.get(k, 0.0)
         s_k = (k / sqrt_2pi) * (nv - nw + math.pi / (2.0 * k ** 2))
         c_k = (k ** 2 / sqrt_2pi) * (nwh - nv - math.pi / (2.0 * k ** 4))
-        mismatch = abs(c_k ** 2 + s_k ** 2 - nv)
+        mismatch = abs(c_k * c_k + s_k * s_k - nv)
         if mismatch > CONSISTENCY_TOL:
             raise InconsistentSpectraError(
                 f"level {k}: recovered coefficients violate the norm identity "
                 f"by {mismatch:.3e}"
             )
         pairs.append((k, c_k, s_k))
+        mismatches.append(mismatch)
 
     nv0 = norms_v.get(0, 0.0)
     nwh0 = norms_wh.get(0, 0.0)
     c0 = (6.0 / math.pi ** 2.5) * (nwh0 - nv0 - math.pi ** 5 / 144.0)
-    if abs(c0 ** 2 - nv0) > CONSISTENCY_TOL:
+    mismatch = abs(c0 * c0 - nv0)
+    if mismatch > CONSISTENCY_TOL:
         raise InconsistentSpectraError(
             f"constant level: recovered coefficient violates the norm identity "
-            f"by {abs(c0 ** 2 - nv0):.3e}"
+            f"by {mismatch:.3e}"
         )
-    return alpha, build_potential(c0, pairs), norms_v
+    return alpha, build_potential(c0, pairs), [mismatch] + mismatches
 
 
 def magnitudes_from_two_spectra(
@@ -273,44 +274,31 @@ def magnitudes_from_two_spectra(
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Verdicts for the admissibility of spectral data.
+    """The admissibility verdict for spectral data.
 
-    symmetry is structural for real spectral data (the zero set comes as
-    +-sqrt(z)); zero_structure is the interlacing check; normalization (the
-    ratio function tends to 1 at i inf) and boundedness (at an O(1/z) rate)
-    hold exactly when the finite data interlace, so both equal
-    zero_structure; residues must share one sign. alpha/norms are derived
-    under unit potential norm.
+    For finite data admissibility is interlacing (see check_admissibility),
+    so there is one verdict; residues are the Loewner residues, and
+    alpha/norms are derived under unit potential norm. to_dict writes the
+    verdict keys of the report format from that one verdict: the symmetry
+    of real data is structural, and zero structure, normalization,
+    boundedness and same sign are each the interlacing verdict.
     """
 
-    symmetry_ok: bool
-    zero_structure_ok: bool
-    normalization_ok: bool
-    boundedness_ok: bool
-    same_sign_ok: bool
+    accepted: bool
     residues: dict[int, float]
     alpha: Optional[float]
     norms: dict[int, float]
     detail: str = ""
 
-    @property
-    def accepted(self) -> bool:
-        return (
-            self.symmetry_ok
-            and self.zero_structure_ok
-            and self.normalization_ok
-            and self.boundedness_ok
-            and self.same_sign_ok
-        )
-
     def to_dict(self) -> dict:
+        ok = self.accepted
         return {
-            "accepted": self.accepted,
-            "symmetry_ok": self.symmetry_ok,
-            "zero_structure_ok": self.zero_structure_ok,
-            "normalization_ok": self.normalization_ok,
-            "boundedness_ok": self.boundedness_ok,
-            "same_sign_ok": self.same_sign_ok,
+            "accepted": ok,
+            "symmetry_ok": True,
+            "zero_structure_ok": ok,
+            "normalization_ok": ok,
+            "boundedness_ok": ok,
+            "same_sign_ok": ok,
             "residues": {str(k): float(x) for k, x in sorted(self.residues.items())},
             "alpha": None if self.alpha is None else float(self.alpha),
             "norms": {str(k): float(x) for k, x in sorted(self.norms.items())},
@@ -325,48 +313,21 @@ def check_admissibility(data: SpectralData) -> AdmissibilityReport:
     from a finite zero set and is taken as given. For finite data the
     verifiable conditions reduce to interlacing: the product form
     prod (mu_j - z) / prod (p_l - z) of interlacing data tends to 1 at
-    i inf with an O(1/z) rate by construction, so the normalization and
-    boundedness verdicts are the zero-structure verdict. The Loewner
-    residues must share one sign, the orientation's.
+    i inf with an O(1/z) rate by construction, and its Loewner residues
+    carry the orientation's sign. Every factor (mu_j - p_i)/(p_j - p_i),
+    j != i, is positive, mu_i - p_i has the orientation's sign, and an IEEE
+    difference of two distinct floats keeps its exact sign; so does their
+    sum, alpha.
     """
     try:
-        orientation = check_interlacing(data)
+        table = weights_from_spectrum(data)
+        alpha, norms = alpha_and_norms(table)
     except (MalformedSpectrumError, DegenerateOperatorError) as exc:
         return AdmissibilityReport(
-            symmetry_ok=True,
-            zero_structure_ok=False,
-            normalization_ok=False,
-            boundedness_ok=False,
-            same_sign_ok=False,
-            residues={},
-            alpha=None,
-            norms={},
-            detail=str(exc),
+            accepted=False, residues={}, alpha=None, norms={}, detail=str(exc)
         )
-
-    table = weights_from_spectrum(data)
-    residues = dict(table.weights)
-    signs = {math.copysign(1.0, x) for x in residues.values() if x != 0.0}
-    same_sign_ok = len(signs) == 1
-    alpha = None
-    norms: dict[int, float] = {}
-    detail = ""
-    if same_sign_ok:
-        try:
-            alpha, norms = alpha_and_norms(table, orientation=orientation)
-        except (DegenerateOperatorError, InconsistentSpectraError) as exc:
-            same_sign_ok = False
-            detail = str(exc)
     return AdmissibilityReport(
-        symmetry_ok=True,
-        zero_structure_ok=True,
-        normalization_ok=True,
-        boundedness_ok=True,
-        same_sign_ok=same_sign_ok,
-        residues=residues,
-        alpha=alpha,
-        norms=norms,
-        detail=detail,
+        accepted=True, residues=dict(table.weights), alpha=alpha, norms=norms
     )
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateOperatorError
-from .numerics import _EPS, secular_equation_roots
+from .numerics import secular_equation_roots, secular_eval
 from .potential import OperatorSpec, PotentialSpec, build_potential, evaluate
 
 WEIGHT_FLOOR = 1e-13
@@ -290,23 +290,31 @@ def _require_member(op: OperatorSpec, entry: SpectrumEntry) -> None:
     if tag in (SpectrumClass.UNCHANGED, SpectrumClass.COINCIDENT):
         if not on_level or k in table.active:
             raise ValueError(f"z={entry.z} is not an unperturbed level of this operator")
+    if (
+        tag is SpectrumClass.SECULAR
+        and entry.z == level_value(k)
+        and op.potential.level_norms().get(k, 0.0) > 0.0
+    ):
+        # any level of positive norm, near-floor ones included: the secular
+        # eigenfunction divides by each (a coincident entry sits on an
+        # inactive level, and is rejected above when that one is active)
+        raise ValueError(f"z={entry.z} sits on a weight-carrying level")
     if tag in (SpectrumClass.SECULAR, SpectrumClass.COINCIDENT):
-        # restricted to the active levels: a near-floor inactive level with a
+        # q over the active levels: a near-floor inactive level with a
         # positive norm would be a pole at a valid coincident entry
-        dist = np.array([level_value(j) for j in table.active]) - entry.z
-        if not dist.all():
-            raise ValueError(f"z={entry.z} sits on a weight-carrying level")
-        terms = np.array([table.weights[j] for j in table.active]) / dist
-        q = 1.0 + float(np.sum(terms))
+        poles = np.array([level_value(j) for j in table.active])
+        x = np.array([table.weights[j] for j in table.active])
+        (q,), (dq,), (rounding,) = secular_eval(poles, x, np.array([entry.z]))
+        q = float(q)
         # a root within reach of z leaves |q(z)| at most reach times the
         # slope of (p - z) q over p - z, p the nearest pole: (p - z) q is
         # smooth at p where q is steep, and at a root the two slopes agree
+        dist = poles - entry.z
         near = float(dist[np.argmin(np.abs(dist))])
-        slope = abs(float(np.sum(terms / dist)) - q / near)
+        slope = abs(float(dq) - q / near)
         reach = 8.0 * math.ulp(entry.z)
         if tag is SpectrumClass.COINCIDENT:
             reach += COINCIDENCE_TOL
-        rounding = _EPS * (len(terms) + 2) * (1.0 + float(np.sum(np.abs(terms))))
         if abs(q) > slope * reach + rounding:
             raise ValueError(f"z={entry.z} does not solve the secular equation")
     if tag is SpectrumClass.REDUCED:

@@ -1,9 +1,12 @@
 """The public surface: names exported by the package, the members of
-Eigenfunction and the signatures of the characteristic-function entry
-points. A change here is an API change and belongs in CHANGES.md."""
+Eigenfunction and AdmissibilityReport, the keys of the synth report and the
+signatures of the characteristic-function entry points. A change here is an
+API change and belongs in CHANGES.md."""
 
 import dataclasses
 import inspect
+
+import pytest
 
 import rankonespec
 from rankonespec import Eigenfunction
@@ -85,3 +88,38 @@ def test_char_context_signature():
     # the perturbed function has one closed form everywhere: no knobs
     params = list(inspect.signature(rankonespec.CharContext).parameters)
     assert params == ["operator"]
+
+
+SYNTH_REPORT_KEYS = [
+    "accepted",
+    "symmetry_ok",
+    "zero_structure_ok",
+    "normalization_ok",
+    "boundedness_ok",
+    "same_sign_ok",
+    "residues",
+    "alpha",
+    "norms",
+    "detail",
+]
+
+
+def test_admissibility_report_members():
+    fields = [f.name for f in dataclasses.fields(rankonespec.AdmissibilityReport)]
+    assert fields == ["accepted", "residues", "alpha", "norms", "detail"]
+
+
+@pytest.mark.parametrize("mus, accepted", [((5.0, 10.0), False), ((5.0, 40.0), True)])
+def test_synth_report_keys(mus, accepted):
+    # synth writes the report format's ten keys in this order; for finite
+    # data admissibility is interlacing, so every verdict key but the
+    # structural symmetry is the one verdict
+    data = rankonespec.SpectralData(
+        active_levels=(4.0, 36.0), mus=mus, reduced_levels=(4.0, 36.0), window=40.0
+    )
+    report = rankonespec.check_admissibility(data).to_dict()
+    assert list(report) == SYNTH_REPORT_KEYS
+    assert report["accepted"] is accepted
+    assert report["symmetry_ok"] is True
+    for key in ("zero_structure_ok", "normalization_ok", "boundedness_ok", "same_sign_ok"):
+        assert report[key] is accepted

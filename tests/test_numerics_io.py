@@ -157,6 +157,18 @@ class TestSecularSolverReference:
         got = secular_equation_roots(poles, x)
         assert got.tobytes() == reference_secular_roots(poles, x).tobytes()
 
+    def test_secular_eval(self):
+        # one row of poles for every z, or one row per z, and the direct sums
+        poles, x = np.array([0.0, 4.0, 16.0]), np.array([0.5, 0.25, 2.0])
+        z = np.array([-1.0, 2.5, 9.0])
+        q, dq, rounding = numerics.secular_eval(poles, x, z)
+        rows = numerics.secular_eval(np.tile(poles, (3, 1)), x, z)
+        assert all(np.array_equal(a, b) for a, b in zip((q, dq, rounding), rows))
+        gaps = poles - z[:, None]
+        assert np.allclose(q, 1.0 + (x / gaps).sum(axis=1), rtol=1e-15, atol=0.0)
+        assert np.allclose(dq, (x / gaps ** 2).sum(axis=1), rtol=1e-15, atol=0.0)
+        assert np.array_equal(rounding, 5 * EPS * (1.0 + np.abs(x / gaps).sum(axis=1)))
+
     @pytest.mark.parametrize("cap", [1, 2, 3, 4])
     def test_step_cap_matches(self, monkeypatch, cap):
         monkeypatch.setattr(numerics, "_MAX_STEPS", cap)

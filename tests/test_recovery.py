@@ -308,14 +308,29 @@ class TestAdmissibility:
             window=12100.0,
         )
     )
+    @example(
+        # a root one ulp above its pole: a residue of 3.6e-12 beside one of 6
+        data=SpectralData(
+            active_levels=(4.0, 16384.0),
+            mus=(10.0, math.nextafter(16384.0, math.inf)),
+            reduced_levels=(4.0, 16384.0),
+            window=16385.0,
+        )
+    )
     def test_interlacing_data_is_admissible(self, data):
+        # every Loewner residue is finite and carries the orientation's sign:
+        # each factor (mu_j - p_i)/(p_j - p_i), j != i, is positive, and
+        # mu_i - p_i is a difference of distinct floats, so its sign is exact
+        report = check_admissibility(data)
+        residues = np.array(list(report.residues.values()))
+        assert np.all(np.isfinite(residues))
+        assert np.all(np.sign(residues) == check_interlacing(data))
         # finite interlacing data is admissible, and the synthesized
         # operator has the data's roots: within 1e-12 relative to
         # max(1, |mu|), plus what rounding the weights to floats moves a root
         # by. That is kappa eps, with kappa = sum |X_i / (p_i - mu)| / |q'(mu)|
         # the root's change per unit relative change of every weight; rounding
         # the synthesized coefficients and solving cost a few times that
-        report = check_admissibility(data)
         assert report.accepted
         op = synthesize_from_admissible(report)
         window = max(4.0, data.active_levels[-1], data.mus[-1]) + 1.0
@@ -334,7 +349,7 @@ class TestAdmissibility:
         )
         report = check_admissibility(bad)
         assert not report.accepted
-        assert not report.zero_structure_ok
+        assert report.to_dict()["zero_structure_ok"] is False
 
     def test_rejects_double_overshoot(self):
         bad = SpectralData(

@@ -500,6 +500,16 @@ class TestEigenfunctionRejection:
         with pytest.raises(ValueError, match="weight-carrying"):
             eigenfunctions(op, bogus)
 
+    def test_secular_entry_on_a_near_floor_level_rejected(self):
+        # z = 4 is a coincident eigenvalue of this operator (see
+        # test_coincidence_beside_a_near_floor_level_accepted): level 1 is
+        # inactive, its norm below the floor. As a secular entry it is a
+        # pole of the eigenfunction's resolvent sum all the same
+        op = OperatorSpec(4.0, build_potential(1.0, [(1, 3e-8, 0.0)]))
+        bogus = SpectrumEntry(z=4.0, multiplicity=1, tag=SpectrumClass.SECULAR)
+        with pytest.raises(ValueError, match="weight-carrying"):
+            eigenfunctions(op, bogus)
+
     def test_every_classified_entry_accepted(self):
         # |alpha| from 1e-6 to 1e6 and coefficients from 1e-7 to 1 put roots
         # within an ulp or a few of their poles, where q is too steep for an
