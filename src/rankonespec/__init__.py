@@ -2,7 +2,6 @@
 operator perturbed by a rank-one non-local potential."""
 
 from .charfn import (
-    CharContext,
     autocorr_transform,
     autocorr_transform_star,
     char_perturbed,
@@ -20,7 +19,6 @@ from .errors import (
     SpectralError,
 )
 from .oracle import (
-    TruncatedOperator,
     jacobi_eigenvalues,
     oracle_spectrum,
     scan_char_zeros,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport",
-    "CharContext",
     "ClassifiedSpectrum",
     "ConvergenceError",
     "DegenerateOperatorError",
@@ -75,7 +72,6 @@ __all__ = [
     "SpectrumClass",
     "SpectrumEntry",
     "ThreeSpectra",
-    "TruncatedOperator",
     "WeightTable",
     "alpha_and_norms",
     "autocorr_transform",

@@ -261,15 +261,6 @@ def char_unperturbed(lam):
     return out[0] if scalar else out
 
 
-class CharContext:
-    """Evaluation context: the operator whose characteristic functions are
-    evaluated. The perturbed function has one closed form everywhere, so
-    there is nothing else to configure."""
-
-    def __init__(self, operator: OperatorSpec):
-        self.operator = operator
-
-
 def _canonical(lam):
     """mu = |Re lam| - i |Im lam|, the member of {+-lam, +-conj(lam)} with
     Re mu >= 0 and Im mu <= 0, and where D(lam) = conj(D(mu)), i.e. where
@@ -279,7 +270,7 @@ def _canonical(lam):
     return mu, np.sign(lam.real) * np.sign(lam.imag) > 0.0
 
 
-def _char_parts(ctx, arr):
+def _char_parts(op, arr):
     """(D, D0, mu, kernel) on a complex array: the perturbed characteristic
     function at arr, and the unperturbed one, the canonical member and the
     kernel output, all at mu = _canonical(arr).
@@ -294,22 +285,22 @@ def _char_parts(ctx, arr):
     E(-mu) and F(-mu) O(e^{pi |Im lam|}).
     """
     mu, flip = _canonical(arr)
-    kernel = _transforms(ctx.operator.potential, mu)
+    kernel = _transforms(op.potential, mu)
     (e, e_neg), (f, f_neg), (ac, _) = kernel
     with np.errstate(over="ignore", invalid="ignore"):
         d0 = e_neg + e
-        d = d0 + ctx.operator.alpha * _unit_integral(mu, e) * (ac * e_neg - f * f_neg)
+        d = d0 + op.alpha * _unit_integral(mu, e) * (ac * e_neg - f * f_neg)
     _in_float_range("perturbed characteristic function", arr, d)
     return np.where(flip, np.conj(d), d), d0, mu, kernel
 
 
-def char_perturbed(ctx: CharContext, lam):
-    """Characteristic function of the perturbed operator, from one kernel
+def char_perturbed(op: OperatorSpec, lam):
+    """Characteristic function of the perturbed operator op, from one kernel
     pass at the canonical member of lam (see _char_parts), so that it is
     exactly even and star-symmetric. Raises OverflowError where a finite lam
     takes it beyond the float range."""
     arr, scalar = _as_lambda_array(lam)
-    out = _char_parts(ctx, arr)[0]
+    out = _char_parts(op, arr)[0]
     return out[0] if scalar else out
 
 
@@ -332,7 +323,7 @@ def autocorr_identity_residual(spec: PotentialSpec, lam):
     return _autocorr_residual(_transforms(spec, arr), arr, scalar)
 
 
-def char_with_autocorr_residual(ctx: CharContext, lam):
+def char_with_autocorr_residual(op: OperatorSpec, lam):
     """char_perturbed, char_unperturbed and the autocorrelation identity
     residual |AC + AC* - F F*| at lam, as (D, D0, residual).
 
@@ -343,9 +334,9 @@ def char_with_autocorr_residual(ctx: CharContext, lam):
     the public evaluator's.
     """
     arr, scalar = _as_lambda_array(lam)
-    d, d0, mu, kernel = _char_parts(ctx, arr)
+    d, d0, mu, kernel = _char_parts(op, arr)
     if not np.array_equal(mu, arr):
-        d0, kernel = char_unperturbed(arr), _transforms(ctx.operator.potential, arr)
+        d0, kernel = char_unperturbed(arr), _transforms(op.potential, arr)
     residual = _autocorr_residual(kernel, arr, scalar)
     if scalar:
         return d[0], d0[0], residual

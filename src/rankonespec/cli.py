@@ -63,8 +63,8 @@ def _cmd_inverse(args) -> int:
         base = ClassifiedSpectrum.from_dict(record["base"])
         shifted = ClassifiedSpectrum.from_dict(record["shifted"])
         squared = ClassifiedSpectrum.from_dict(record["squared"])
-    except KeyError as exc:
-        raise ValueError(f"three-spectra record missing field {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"three-spectra record missing or malformed field: {exc}") from exc
     ts = recovery.ThreeSpectra.from_classified(base, shifted, squared, order)
     alpha, pot, mismatches = recovery._invert_three_spectra(ts)
     residuals = [{"k": k, "norm_residual": r} for k, r in enumerate(mismatches)]
@@ -119,6 +119,20 @@ def build_parser() -> argparse.ArgumentParser:
         "second-derivative operator with a rank-one non-local potential.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--window": dict(type=float, help="spectral window"),
+        "--order": dict(type=int, help="reconstruction order override"),
+        "--truncation": dict(type=int, help="oracle truncation level"),
+        "--emit-plot": dict(action="store_true", help="write CSV plot samples next to the output"),
+    }
+    # each subcommand takes only the options its handler reads
+    reads = {
+        "forward": ("--window", "--emit-plot"),
+        "inverse": ("--order",),
+        "synth": (),
+        "validate": ("--emit-plot",),
+        "oracle-compare": ("--window", "--truncation"),
+    }
     specs = {
         "forward": ("_cmd_forward", "compute and classify the spectrum of an operator"),
         "inverse": ("_cmd_inverse", "reconstruct the operator from three spectra"),
@@ -130,12 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", help="output JSON path (stdout when omitted)")
-        p.add_argument("--window", type=float, help="spectral window")
-        p.add_argument("--order", type=int, help="reconstruction order override")
-        p.add_argument("--truncation", type=int, help="oracle truncation level")
-        p.add_argument(
-            "--emit-plot", action="store_true", help="write CSV plot samples next to the output"
-        )
+        for flag in reads[name]:
+            p.add_argument(flag, **options[flag])
         p.set_defaults(handler=handler)
     return parser
 
@@ -146,7 +156,7 @@ def main(argv=None) -> int:
         # the handler is looked up by name on every call, so rebinding it on
         # the module (a test double, a tracing wrapper) outlives the cache
         return globals()[args.handler](args)
-    except (SpectralError, ValueError, OSError) as exc:
+    except (SpectralError, ValueError, OverflowError, OSError) as exc:
         payload = {"error": type(exc).__name__, "detail": {"message": str(exc)}}
         if args.output:
             io.write_json(args.output, payload)

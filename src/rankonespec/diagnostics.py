@@ -52,7 +52,7 @@ def identity_report_and_rows(op: OperatorSpec):
     symmetries hold bit for bit. What evenness asks beyond that, the
     oddness of the edge factor, is the autocorrelation identity."""
     grid = identity_grid()
-    d, d0, auto = charfn.char_with_autocorr_residual(charfn.CharContext(op), grid)
+    d, d0, auto = charfn.char_with_autocorr_residual(op, grid)
     fact = _factorization_residuals(op, grid, d, d0)
     report = {
         "secular_factorization_max": float(np.max(fact)),
@@ -69,8 +69,7 @@ def identity_report_and_rows(op: OperatorSpec):
 def char_samples(op: OperatorSpec, lam_max: float):
     """(lambda, Re perturbed) samples for plotting on (0, lam_max]."""
     grid = np.arange(GRID_STEP, lam_max + GRID_STEP / 2.0, GRID_STEP)
-    ctx = charfn.CharContext(op)
-    d = np.real(charfn.char_perturbed(ctx, grid))
+    d = np.real(charfn.char_perturbed(op, grid))
     return list(zip(grid.tolist(), d.tolist()))
 
 

@@ -13,7 +13,6 @@ cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,54 +32,34 @@ _SCAN_STEPS = 64  # bisection alone takes a 0.01 bracket below an ulp in 46
 _EPS = float(np.finfo(float).eps)
 
 
-def basis_dimension(n: int) -> int:
-    return 2 * n + 1
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Galerkin truncation onto the first 2n+1 basis functions.
-
-    diagonal holds the unperturbed levels (0, 4, 4, 16, 16, ...), rank_one
-    the potential coefficient vector in the same ordering. Truncation is
-    exact as long as n covers the potential order (higher levels decouple);
-    callers normally keep a margin of 8 on top to make the decoupling itself
-    a testable claim.
-    """
-
-    n: int
-    diagonal: np.ndarray = field(repr=False)
-    rank_one: np.ndarray = field(repr=False)
-    alpha: float
-
-    @classmethod
-    def from_operator(cls, op: OperatorSpec, n: int) -> "TruncatedOperator":
-        if n < op.potential.K:
-            raise ValueError("truncation level does not cover the potential order")
-        dim = basis_dimension(n)
-        diag = np.zeros(dim)
-        k = np.arange(1, n + 1)
-        diag[1::2] = diag[2::2] = 4.0 * k * k
-        u = np.zeros(dim)
-        u[0] = op.potential.c0
-        levels = np.array(op.potential.pairs, dtype=float).reshape(-1, 3)
-        k = levels[:, 0].astype(int)
-        u[2 * k - 1] = levels[:, 1]
-        u[2 * k] = levels[:, 2]
-        return cls(n=n, diagonal=diag, rank_one=u, alpha=op.alpha)
-
-    def matrix(self) -> np.ndarray:
-        # alpha * u u^T + diag in place, two matrix-sized temporaries fewer;
-        # IEEE addition commutes, so the bits are those of diag + alpha * u u^T
-        m = np.outer(self.rank_one, self.rank_one)
-        m *= self.alpha
-        m += np.diag(self.diagonal)
-        return m
-
-
 def truncated_matrix(op: OperatorSpec, n: int) -> np.ndarray:
-    """Dense symmetric matrix of the truncated operator."""
-    return TruncatedOperator.from_operator(op, n).matrix()
+    """Dense symmetric matrix of the Galerkin truncation onto the first
+    2n+1 basis functions: diag(0, 4, 4, 16, 16, ...) + alpha u u^T, with u
+    the potential's coefficients in the same ordering.
+
+    Truncation is exact as long as n covers the potential order (higher
+    levels decouple); callers normally keep a margin of 8 on top to make the
+    decoupling itself a testable claim. Raises ValueError when n is below
+    the potential order.
+    """
+    if n < op.potential.K:
+        raise ValueError("truncation level does not cover the potential order")
+    dim = 2 * n + 1
+    diag = np.zeros(dim)
+    k = np.arange(1, n + 1)
+    diag[1::2] = diag[2::2] = 4.0 * k * k
+    u = np.zeros(dim)
+    u[0] = op.potential.c0
+    levels = np.array(op.potential.pairs, dtype=float).reshape(-1, 3)
+    k = levels[:, 0].astype(int)
+    u[2 * k - 1] = levels[:, 1]
+    u[2 * k] = levels[:, 2]
+    # alpha * u u^T + diag in place, two matrix-sized temporaries fewer;
+    # IEEE addition commutes, so the bits are those of diag + alpha * u u^T
+    m = np.outer(u, u)
+    m *= op.alpha
+    m += np.diag(diag)
+    return m
 
 
 def jacobi_eigenvalues(
@@ -202,14 +181,13 @@ def scan_char_zeros(
     """
     if grid_step > 0.01:
         raise ValueError("grid_step must be at most 0.01")
-    ctx = charfn.CharContext(op)
     grid = np.arange(grid_step, lambda_max + grid_step / 2.0, grid_step)
     off_lattice = np.abs(grid - 2.0 * np.round(grid / 2.0)) >= LATTICE_GUARD
     lattice = 2.0 * np.arange(math.floor(lambda_max / 2.0 + LATTICE_GUARD) + 1)
     edges = np.concatenate((lattice - LATTICE_GUARD, lattice + LATTICE_GUARD))
     edges = edges[(edges > 0.0) & (edges <= lambda_max)]
     grid = np.unique(np.concatenate((grid[off_lattice], edges)))
-    values = np.real(charfn.char_perturbed(ctx, grid))
+    values = np.real(charfn.char_perturbed(op, grid))
     # the one cell around each lattice point is the only one whose ends
     # fall in different periods of length 2
     clear = np.floor(grid[:-1] / 2.0) == np.floor(grid[1:] / 2.0)
@@ -223,7 +201,7 @@ def scan_char_zeros(
         if live.size == 0:
             break
         t = x[live]
-        d = charfn.char_perturbed(ctx, t + 1j * _COMPLEX_STEP)
+        d = charfn.char_perturbed(op, t + 1j * _COMPLEX_STEP)
         f = d.real
         slope = d.imag / _COMPLEX_STEP
         same = f * f_lo[live] > 0.0

@@ -34,13 +34,11 @@ PROBE_CONST_SHIFT = math.pi ** 2.5 / 12.0
 class PotentialSpec:
     """Real potential v(x) = c0/sqrt(pi) + sum_k sqrt(2/pi)(c_k cos 2kx + s_k sin 2kx).
 
-    pairs holds (k, c_k, s_k) with distinct k in [1, K]; K is the largest k
-    present (0 when there are no pairs).
+    pairs holds (k, c_k, s_k) with distinct positive k.
     """
 
     c0: float
     pairs: tuple[tuple[int, float, float], ...]
-    K: int
 
     def __post_init__(self):
         seen = set()
@@ -54,9 +52,11 @@ class PotentialSpec:
             seen.add(k)
         if not math.isfinite(self.c0):
             raise ValueError("non-finite constant coefficient")
-        max_k = max((k for k, _, _ in self.pairs), default=0)
-        if self.K != max_k:
-            raise ValueError(f"K={self.K} does not match largest harmonic present ({max_k})")
+
+    @property
+    def K(self) -> int:
+        """The potential order: the largest k present, 0 when there are no pairs."""
+        return max((k for k, _, _ in self.pairs), default=0)
 
     @property
     def norm_sq(self) -> float:
@@ -94,12 +94,13 @@ class PotentialSpec:
             c0 = float(d["c0"])
             terms = d["terms"]
             K = int(d["K"])
+            pairs = tuple((int(t["k"]), float(t["c"]), float(t["s"])) for t in terms)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed potential record: {exc}") from exc
-        pairs = tuple(
-            (int(t["k"]), float(t["c"]), float(t["s"])) for t in terms
-        )
-        return cls(c0=c0, pairs=pairs, K=K)
+        spec = cls(c0=c0, pairs=pairs)
+        if K != spec.K:
+            raise ValueError(f"K={K} does not match largest harmonic present ({spec.K})")
+        return spec
 
 
 @dataclass(frozen=True)
@@ -142,9 +143,7 @@ def build_potential(
     harmonics or when normalize is requested for the zero potential.
     """
     tup = tuple((int(k), float(c), float(s)) for k, c, s in pairs)
-    spec = PotentialSpec(
-        c0=float(c0), pairs=tup, K=max((k for k, _, _ in tup), default=0)
-    )
+    spec = PotentialSpec(c0=float(c0), pairs=tup)
     if normalize:
         nrm = math.sqrt(spec.norm_sq)
         if nrm == 0.0:
@@ -152,7 +151,6 @@ def build_potential(
         spec = PotentialSpec(
             c0=spec.c0 / nrm,
             pairs=tuple((k, c / nrm, s / nrm) for k, c, s in spec.pairs),
-            K=spec.K,
         )
     return spec
 
@@ -184,10 +182,8 @@ def companions(spec: PotentialSpec, k_comp: int) -> tuple[PotentialSpec, Potenti
         c, s = coeff.get(k, (0.0, 0.0))
         w_pairs.append((k, c, s - PROBE_SIN_SHIFT / k))
         what_pairs.append((k, c + PROBE_COS_SHIFT / k ** 2, s))
-    w = PotentialSpec(c0=spec.c0, pairs=tuple(w_pairs), K=k_comp)
-    what = PotentialSpec(
-        c0=spec.c0 + PROBE_CONST_SHIFT, pairs=tuple(what_pairs), K=k_comp
-    )
+    w = PotentialSpec(c0=spec.c0, pairs=tuple(w_pairs))
+    what = PotentialSpec(c0=spec.c0 + PROBE_CONST_SHIFT, pairs=tuple(what_pairs))
     return w, what
 
 

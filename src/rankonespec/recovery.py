@@ -156,10 +156,9 @@ def weights_from_char_derivative(op: OperatorSpec, max_level: Optional[int] = No
     level comes from one evaluation. A level is active under weight_table's
     rule, |X_p / alpha| above WEIGHT_FLOOR.
     """
-    ctx = charfn.CharContext(op)
     cap = op.potential.K if max_level is None else max_level
     levels = np.arange(1, cap + 1)
-    d = charfn.char_perturbed(ctx, np.append(0.0, 2.0 * levels + 1j * _COMPLEX_STEP))
+    d = charfn.char_perturbed(op, np.append(0.0, 2.0 * levels + 1j * _COMPLEX_STEP))
     x = np.append(-d[0].real, -4.0 * levels * d[1:].imag / _COMPLEX_STEP) / _PI_SQ
     weights = dict(enumerate(x.tolist()))
     alpha = op.alpha

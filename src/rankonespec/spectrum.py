@@ -232,7 +232,7 @@ class Eigenfunction:
     def derivative(self, x):
         s = self.series
         pairs = tuple((k, 2 * k * sk, -2 * k * ck) for k, ck, sk in s.pairs)
-        return evaluate(PotentialSpec(c0=0.0, pairs=pairs, K=s.K), x)
+        return evaluate(PotentialSpec(c0=0.0, pairs=pairs), x)
 
 
 def _basis_functions(k: int) -> tuple[Eigenfunction, ...]:

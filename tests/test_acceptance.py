@@ -71,9 +71,8 @@ def test_criterion_2_secular_factorization():
     grid = grid[np.abs(grid / 2.0 - np.round(grid / 2.0)) * 2.0 >= 0.05]
     worst = 0.0
     for op in _sample_operators(10, seed=SEED + 1):
-        ctx = charfn.CharContext(op)
         norms = op.potential.level_norms()
-        d = charfn.char_perturbed(ctx, grid)
+        d = charfn.char_perturbed(op, grid)
         d0 = charfn.char_unperturbed(grid)
         q = np.array([charfn.secular_function(op.alpha, norms, l * l) for l in grid])
         resid = np.abs(d - q * d0) / np.maximum(1.0, np.abs(d))
@@ -232,13 +231,12 @@ def test_criterion_8_eigenfunction_residual():
 def test_criterion_9_origin_value():
     worst = 0.0
     for op in _sample_operators(10, seed=SEED + 6):
-        ctx = charfn.CharContext(op)
-        got = complex(charfn.char_perturbed(ctx, 0.0))
+        got = complex(charfn.char_perturbed(op, 0.0))
         vt0 = charfn.fourier_transform(op.potential, 0.0)
         want = -op.alpha * PI * abs(vt0) ** 2
         worst = max(worst, abs(got - want) / abs(want))
-    ctx = charfn.CharContext(OperatorSpec(1.0, build_potential(1.0)))
-    anchor = complex(charfn.char_perturbed(ctx, 0.0))
+    op = OperatorSpec(1.0, build_potential(1.0))
+    anchor = complex(charfn.char_perturbed(op, 0.0))
     ok = worst <= 1e-10 and abs(anchor - (-PI ** 2)) <= 1e-10 * PI ** 2
     _report(9, "characteristic value at the origin", ok, f"max rel = {worst:.2e}")
 

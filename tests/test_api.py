@@ -1,19 +1,20 @@
 """The public surface: names exported by the package, the members of
-Eigenfunction and AdmissibilityReport, the keys of the synth report and the
-signatures of the characteristic-function entry points. A change here is an
-API change and belongs in CHANGES.md."""
+Eigenfunction, AdmissibilityReport and PotentialSpec, the keys of the synth
+report, the signatures of the characteristic-function entry points and the
+options of each CLI subcommand. A change here is an API change and belongs
+in CHANGES.md."""
 
+import argparse
 import dataclasses
 import inspect
 
 import pytest
 
 import rankonespec
-from rankonespec import Eigenfunction
+from rankonespec import Eigenfunction, charfn, cli
 
 PUBLIC_NAMES = [
     "AdmissibilityReport",
-    "CharContext",
     "ClassifiedSpectrum",
     "ConvergenceError",
     "DegenerateOperatorError",
@@ -28,7 +29,6 @@ PUBLIC_NAMES = [
     "SpectrumClass",
     "SpectrumEntry",
     "ThreeSpectra",
-    "TruncatedOperator",
     "WeightTable",
     "alpha_and_norms",
     "autocorr_transform",
@@ -84,10 +84,35 @@ def test_transform_signatures():
         assert list(inspect.signature(getattr(rankonespec, name)).parameters) == ["spec", "lam"]
 
 
-def test_char_context_signature():
-    # the perturbed function has one closed form everywhere: no knobs
-    params = list(inspect.signature(rankonespec.CharContext).parameters)
-    assert params == ["operator"]
+def test_char_signatures():
+    # the perturbed function has one closed form everywhere: the operator
+    # alone determines it
+    for fn in (rankonespec.char_perturbed, charfn.char_with_autocorr_residual):
+        assert list(inspect.signature(fn).parameters) == ["op", "lam"]
+
+
+def test_potential_spec_fields():
+    # the order K is derived from the terms, not stored
+    assert [f.name for f in dataclasses.fields(rankonespec.PotentialSpec)] == ["c0", "pairs"]
+
+
+CLI_OPTIONS = {
+    "forward": ["--input", "--output", "--window", "--emit-plot"],
+    "inverse": ["--input", "--output", "--order"],
+    "synth": ["--input", "--output"],
+    "validate": ["--input", "--output", "--emit-plot"],
+    "oracle-compare": ["--input", "--output", "--window", "--truncation"],
+}
+
+
+def test_cli_options_are_pinned():
+    # each subcommand takes only the options its handler reads
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: [a.option_strings[0] for a in parser._actions if a.option_strings and a.dest != "help"]
+        for name, parser in sub.choices.items()
+    }
+    assert got == CLI_OPTIONS
 
 
 SYNTH_REPORT_KEYS = [

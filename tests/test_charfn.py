@@ -80,17 +80,17 @@ class TestCharUnperturbed:
 class TestCharPerturbed:
     def test_value_at_origin_constant_potential(self):
         # -alpha pi |FT(0)|^2 with FT(0) = sqrt(pi)
-        ctx = charfn.CharContext(OperatorSpec(1.0, CONST))
-        assert np.real(charfn.char_perturbed(ctx, 0.0)) == pytest.approx(-PI ** 2, abs=1e-10)
+        op = OperatorSpec(1.0, CONST)
+        assert np.real(charfn.char_perturbed(op, 0.0)) == pytest.approx(-PI ** 2, abs=1e-10)
 
     def test_zero_coupling_reduces_to_unperturbed(self):
-        ctx = charfn.CharContext(OperatorSpec(0.0, CONST))
-        assert charfn.char_perturbed(ctx, 1.0) == pytest.approx(4.0, abs=1e-14)
+        op = OperatorSpec(0.0, CONST)
+        assert charfn.char_perturbed(op, 1.0) == pytest.approx(4.0, abs=1e-14)
 
     def test_unit_coupling_eigenvalue_at_one(self):
         # z = 1 solves the secular equation for the constant potential
-        ctx = charfn.CharContext(OperatorSpec(1.0, CONST))
-        assert abs(charfn.char_perturbed(ctx, 1.0)) < 1e-12
+        op = OperatorSpec(1.0, CONST)
+        assert abs(charfn.char_perturbed(op, 1.0)) < 1e-12
 
     def test_factorization_identity(self, rng):
         # perturbed = secular(z) * unperturbed on a lattice-avoiding grid
@@ -98,9 +98,8 @@ class TestCharPerturbed:
         lams = lams[np.abs(lams / 2 - np.round(lams / 2)) * 2 >= 0.05]
         for _ in range(6):
             op = random_operator(rng)
-            ctx = charfn.CharContext(op)
             norms = op.potential.level_norms()
-            d = charfn.char_perturbed(ctx, lams)
+            d = charfn.char_perturbed(op, lams)
             d0 = charfn.char_unperturbed(lams)
             q = np.array(
                 [charfn.secular_function(op.alpha, norms, l * l) for l in lams]
@@ -111,14 +110,13 @@ class TestCharPerturbed:
     def test_symmetries_on_grid(self, rng):
         # evenness and star-conjugation symmetry, real and complex points
         op = random_operator(rng)
-        ctx = charfn.CharContext(op)
         real_grid = np.linspace(0.1, 25.0, 100)
         complex_grid = real_grid + 1j * np.linspace(-2.0, 2.0, 100)
         for grid in (real_grid, complex_grid):
-            d = charfn.char_perturbed(ctx, grid)
+            d = charfn.char_perturbed(op, grid)
             scale = np.maximum(1.0, np.abs(d))
-            even = np.abs(d - charfn.char_perturbed(ctx, -grid)) / scale
-            star = np.abs(d - np.conj(charfn.char_perturbed(ctx, np.conj(grid)))) / scale
+            even = np.abs(d - charfn.char_perturbed(op, -grid)) / scale
+            star = np.abs(d - np.conj(charfn.char_perturbed(op, np.conj(grid)))) / scale
             assert np.max(even) < 1e-10
             assert np.max(star) < 1e-10
 
@@ -127,21 +125,21 @@ class TestCharPerturbed:
         # evaluating them on these points
         points = identity_grid()[:100] + 1j * np.linspace(-1.5, 1.5, 100)
         for _ in range(5):
-            ctx = charfn.CharContext(random_operator(rng, max_order=16))
-            d = charfn.char_perturbed(ctx, points)
-            assert np.array_equal(charfn.char_perturbed(ctx, -points), d)
-            assert np.array_equal(np.conj(charfn.char_perturbed(ctx, np.conj(points))), d)
+            op = random_operator(rng, max_order=16)
+            d = charfn.char_perturbed(op, points)
+            assert np.array_equal(charfn.char_perturbed(op, -points), d)
+            assert np.array_equal(np.conj(charfn.char_perturbed(op, np.conj(points))), d)
 
     def test_beyond_the_float_range_raises(self):
         # D grows like e^{pi |Im lam|} and leaves the float range near 226i
-        ctx = charfn.CharContext(OperatorSpec(-2.0, CONST))
+        op = OperatorSpec(-2.0, CONST)
         lam = np.array([200j, -200j, 3.0 + 200j])
-        _assert_close(charfn.char_perturbed(ctx, lam), mp_char_perturbed(ctx.operator, lam), lam)
+        _assert_close(charfn.char_perturbed(op, lam), mp_char_perturbed(op, lam), lam)
         for lam in (230j, np.array([1.0, -5.0 - 230j])):
             with pytest.raises(OverflowError, match="float range"):
-                charfn.char_perturbed(ctx, lam)
+                charfn.char_perturbed(op, lam)
         with pytest.raises(OverflowError, match="float range"):
-            charfn.char_with_autocorr_residual(ctx, 230j)
+            charfn.char_with_autocorr_residual(op, 230j)
 
     def test_every_evaluator_guards_the_float_range(self):
         # each raises OverflowError where its own value leaves the float
@@ -173,9 +171,9 @@ class TestCharPerturbed:
         spec = op.potential
         lhs = charfn.autocorr_transform(spec, lam) + charfn.autocorr_transform_star(spec, lam)
         rhs = charfn.fourier_transform(spec, lam) * charfn.fourier_transform_star(spec, lam)
-        d, d0, residual = charfn.char_with_autocorr_residual(charfn.CharContext(op), lam)
+        d, d0, residual = charfn.char_with_autocorr_residual(op, lam)
         for got, ref in (
-            (d, charfn.char_perturbed(charfn.CharContext(op), lam)),
+            (d, charfn.char_perturbed(op, lam)),
             (d0, charfn.char_unperturbed(lam)),
             (residual, np.abs(lhs - rhs)),
             (charfn.autocorr_identity_residual(spec, lam), np.abs(lhs - rhs)),
@@ -206,15 +204,14 @@ class TestSecularFunction:
 
 
 _FIXED_OP = OperatorSpec(1.7, build_potential(0.5, [(1, 0.6, -0.3), (3, 0.2, 0.4)]))
-_FIXED_CTX = charfn.CharContext(_FIXED_OP)
 
 
 @settings(max_examples=25, deadline=None)
 @given(re=st.floats(-20, 20), im=st.floats(-2, 2))
 def test_perturbed_evenness_property(re, im):
     lam = complex(re, im)
-    a = charfn.char_perturbed(_FIXED_CTX, lam)
-    b = charfn.char_perturbed(_FIXED_CTX, -lam)
+    a = charfn.char_perturbed(_FIXED_OP, lam)
+    b = charfn.char_perturbed(_FIXED_OP, -lam)
     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
@@ -394,7 +391,7 @@ def _assert_transforms_match(spec, lam):
 
 def _assert_kernel_matches(op, lam):
     _assert_transforms_match(op.potential, lam)
-    _assert_close(charfn.char_perturbed(charfn.CharContext(op), lam), ref_char_perturbed(op, lam), lam)
+    _assert_close(charfn.char_perturbed(op, lam), ref_char_perturbed(op, lam), lam)
 
 
 _KERNEL_OPS = (
@@ -515,7 +512,7 @@ def _small_operators(draw):
 def test_kernel_matches_reference_property(op, re, im):
     lam = np.array([complex(re, im), complex(round(re / 2.0) * 2.0, im)])
     _assert_transforms_match(op.potential, lam)
-    _assert_close(charfn.char_perturbed(charfn.CharContext(op), lam), mp_char_perturbed(op, lam), lam)
+    _assert_close(charfn.char_perturbed(op, lam), mp_char_perturbed(op, lam), lam)
 
 
 def _region_points():
@@ -535,7 +532,7 @@ class TestAgainstFiftyDigitReference:
         lam = _region_points()
         for _ in range(12):
             op = random_operator(rng, max_order=16)
-            _assert_close(charfn.char_perturbed(charfn.CharContext(op), lam), mp_char_perturbed(op, lam), lam)
+            _assert_close(charfn.char_perturbed(op, lam), mp_char_perturbed(op, lam), lam)
 
     @pytest.mark.parametrize("alpha", [-5.0, -200.0, -1e4])
     def test_negative_roots_on_the_imaginary_axis(self, alpha):
@@ -549,7 +546,7 @@ class TestAgainstFiftyDigitReference:
             assert roots
             for z in roots:
                 y = math.sqrt(-z) * np.array([1.0 - 1e-9, 1.0 + 1e-9])
-                d = charfn.char_perturbed(charfn.CharContext(op), 1j * y).real
+                d = charfn.char_perturbed(op, 1j * y).real
                 q = charfn.secular_function(alpha, op.potential.level_norms(), -y * y)
                 assert d[0] * d[1] < 0.0
                 assert np.array_equal(np.sign(d), -np.sign(q))

@@ -11,6 +11,7 @@ from rankonespec.potential import OperatorSpec, build_potential, companions
 from rankonespec.spectrum import classify_spectrum, weight_table
 
 from conftest import reference_csv
+from test_api import CLI_OPTIONS
 
 
 @pytest.fixture
@@ -56,7 +57,7 @@ def test_forward_emit_plot(tmp_path, const_op_file):
     # columns: one float() per element
     op = OperatorSpec.from_dict(read_json(const_op_file))
     grid = np.arange(0.01, max(6.0, 40.0 ** 0.5) + 0.005, 0.01)
-    values = np.real(charfn.char_perturbed(charfn.CharContext(op), grid))
+    values = np.real(charfn.char_perturbed(op, grid))
     rows = [(float(l), float(v)) for l, v in zip(grid, values)]
     assert (tmp_path / "spec.csv").read_text() == reference_csv(["lambda", "char_real"], rows)
 
@@ -82,7 +83,7 @@ def _reference_validation(op):
     autocorrelation identity from the four public transforms."""
     grid = diagnostics.identity_grid()
     spec = op.potential
-    d = charfn.char_perturbed(charfn.CharContext(op), grid)
+    d = charfn.char_perturbed(op, grid)
     d0 = charfn.char_unperturbed(grid)
     if op.alpha == 0.0:
         q = 1.0
@@ -358,6 +359,98 @@ def test_error_json_written_to_output(tmp_path):
     assert rc == 2
     payload = read_json(out)
     assert payload["error"] == "DegenerateOperatorError"
+
+
+@pytest.mark.parametrize(
+    "cmd, window",
+    [("forward", "inf"), ("oracle-compare", "inf"), ("forward", "1e300")],
+)
+def test_window_beyond_the_float_range_exits_2(tmp_path, const_op_file, cmd, window):
+    out = tmp_path / "out.json"
+    rc = main([cmd, "--input", str(const_op_file), "--window", window, "--output", str(out)])
+    assert rc == 2
+    payload = read_json(out)
+    assert payload["error"] == "OverflowError"
+    assert "message" in payload["detail"]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"base": {}, "shifted": {}, "squared": {}, "K": None},
+        [{"base": {}, "shifted": {}, "squared": {}, "K": 4}],
+    ],
+    ids=["null-order", "top-level-list"],
+)
+def test_inverse_malformed_record_exits_2(tmp_path, record):
+    inp = tmp_path / "three.json"
+    inp.write_text(json.dumps(record))
+    out = tmp_path / "out.json"
+    assert main(["inverse", "--input", str(inp), "--output", str(out)]) == 2
+    payload = read_json(out)
+    assert payload["error"] == "ValueError"
+    assert "three-spectra record" in payload["detail"]["message"]
+
+
+@pytest.mark.parametrize(
+    "potential, message",
+    [
+        ({"c0": 0.6, "terms": [{"k": 1, "c": 0.64, "s": 0.48}], "K": 2}, "does not match largest harmonic"),
+        ({"c0": 0.6, "terms": [{"c": 0.64, "s": 0.48}], "K": 1}, "malformed potential record"),
+    ],
+    ids=["mismatched-order", "term-without-index"],
+)
+def test_forward_malformed_potential_exits_2(tmp_path, potential, message):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"alpha": 1.0, "potential": potential}))
+    out = tmp_path / "out.json"
+    assert main(["forward", "--input", str(path), "--output", str(out)]) == 2
+    payload = read_json(out)
+    assert payload["error"] == "ValueError"
+    assert message in payload["detail"]["message"]
+
+
+_OPTION_VALUES = {"--window": ["40"], "--order": ["3"], "--truncation": ["20"], "--emit-plot": []}
+_UNREAD = [(cmd, flag) for cmd, read in CLI_OPTIONS.items() for flag in _OPTION_VALUES if flag not in read]
+
+
+@pytest.mark.parametrize("cmd, flag", _UNREAD)
+def test_unread_option_rejected(const_op_file, capsys, cmd, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--input", str(const_op_file), flag, *_OPTION_VALUES[flag]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_inverse_order_override(tmp_path):
+    # --order 3 on a K = 8 record recovers alpha, c0 and the k = 1..3 terms
+    # exactly as the full inversion does, with residuals for k = 0..3
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal(17)
+    c /= np.linalg.norm(c)
+    v = build_potential(c[0], [(k, c[2 * k - 1], c[2 * k]) for k in range(1, 9)])
+    order = 8
+    w, what = companions(v, order)
+    window = 4.0 * (order + 1) ** 2
+    record = {
+        "base": classify_spectrum(OperatorSpec(-1.3, v), window).to_dict(),
+        "shifted": classify_spectrum(OperatorSpec(-1.3, w), window).to_dict(),
+        "squared": classify_spectrum(OperatorSpec(-1.3, what), window).to_dict(),
+        "K": order,
+    }
+    inp = tmp_path / "three.json"
+    inp.write_text(dumps_canonical(record))
+    full, part = tmp_path / "full.json", tmp_path / "part.json"
+    assert main(["inverse", "--input", str(inp), "--output", str(full)]) == 0
+    assert main(["inverse", "--input", str(inp), "--output", str(part), "--order", "3"]) == 0
+    full, part = read_json(full), read_json(part)
+    assert part["alpha"] == full["alpha"]
+    assert part["potential"]["c0"] == full["potential"]["c0"]
+    assert part["potential"]["terms"] == full["potential"]["terms"][:3]
+    assert [t["k"] for t in part["potential"]["terms"]] == [1, 2, 3]
+    assert [r["k"] for r in part["residuals"]] == [0, 1, 2, 3]
+    assert part["residuals"] == full["residuals"][:4]
+    assert full["alpha"] == pytest.approx(-1.3, rel=1e-9)
 
 
 def test_canonical_float_formatting():

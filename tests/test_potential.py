@@ -170,6 +170,26 @@ def test_json_round_trip():
     assert OperatorSpec.from_dict(op.to_dict()) == op
 
 
+@pytest.mark.parametrize("K", [3, 5, 0])
+def test_from_dict_rejects_mismatched_order(K):
+    # K is derived from the terms; a record that states another is rejected
+    record = build_potential(0.6, [(1, 0.64, 0.48), (4, -0.2, 0.0)]).to_dict()
+    assert record["K"] == 4
+    record["K"] = K
+    with pytest.raises(ValueError, match=rf"K={K} does not match largest harmonic present \(4\)"):
+        PotentialSpec.from_dict(record)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[{"c": 1.0, "s": 0.0}], [{"k": 1, "c": 1.0, "s": None}], 5],
+    ids=["missing-index", "null-coefficient", "not-a-list"],
+)
+def test_from_dict_rejects_malformed_terms(terms):
+    with pytest.raises(ValueError, match="malformed potential record"):
+        PotentialSpec.from_dict({"c0": 1.0, "terms": terms, "K": 1})
+
+
 def test_operator_normalized_flag():
     assert OperatorSpec(2.0, build_potential(1.0)).normalized
     assert not OperatorSpec(2.0, build_potential(0.5)).normalized

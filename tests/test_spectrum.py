@@ -9,6 +9,7 @@ from rankonespec import charfn
 from rankonespec import numerics
 from rankonespec.errors import ConvergenceError, DegenerateOperatorError
 from rankonespec.potential import OperatorSpec, build_potential, evaluate
+from rankonespec.recovery import SpectralData, weights_from_spectrum
 from rankonespec.spectrum import (
     ClassifiedSpectrum,
     SpectrumClass,
@@ -26,6 +27,7 @@ from rankonespec.spectrum import (
 from conftest import quad_rule, random_operator
 
 PI = math.pi
+EPS = float(np.finfo(float).eps)
 CONST = build_potential(1.0)
 COS2 = build_potential(0.0, [(1, 1.0, 0.0)])
 
@@ -120,17 +122,30 @@ class TestSecularRoots:
                 bounds = [-math.inf] + poles
                 assert all(bounds[j] < roots[j] < bounds[j + 1] for j in range(len(roots)))
 
+    def test_recovered_table_gives_back_the_roots(self, rng):
+        # a table recovered from a spectrum has no alpha: the coupling's
+        # sign comes from the summed weights
+        for _ in range(20):
+            op = random_operator(rng, max_order=12)
+            window = level_value(op.potential.K + 2)
+            data = SpectralData.from_classified(classify_spectrum(op, window))
+            table = weights_from_spectrum(data)
+            assert table.alpha is None
+            roots = np.array(secular_roots(table, window))
+            mus = np.array(data.mus)
+            assert roots.shape == mus.shape
+            assert np.all(np.abs(roots - mus) <= 8 * EPS * np.maximum(1.0, np.abs(mus)))
+
     def test_roots_are_on_char_zero_set(self, rng):
         # every secular root gives a zero of the perturbed characteristic
         # function at sqrt(z) (imaginary for negative z)
         for _ in range(5):
             op = random_operator(rng)
-            ctx = charfn.CharContext(op)
             roots = secular_roots(weight_table(op), 400.0)
             for z in roots:
                 lam = math.sqrt(z) if z >= 0 else 1j * math.sqrt(-z)
-                scale = max(1.0, abs(charfn.char_perturbed(ctx, lam + 0.1)))
-                assert abs(charfn.char_perturbed(ctx, lam)) <= 1e-8 * scale
+                scale = max(1.0, abs(charfn.char_perturbed(op, lam + 0.1)))
+                assert abs(charfn.char_perturbed(op, lam)) <= 1e-8 * scale
 
 
 def _table(alpha, norms):
