@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import diagnostics, io, recovery, spectrum
 from .errors import SpectralError
-from .potential import OperatorSpec
+from .potential import OperatorSpec, as_int
 from .spectrum import ClassifiedSpectrum
 
 
@@ -59,7 +59,7 @@ def _cmd_forward(args) -> int:
 def _cmd_inverse(args) -> int:
     record = io.read_json(args.input)
     try:
-        order = int(record["K"]) if args.order is None else args.order
+        order = as_int(record["K"]) if args.order is None else args.order
         base = ClassifiedSpectrum.from_dict(record["base"])
         shifted = ClassifiedSpectrum.from_dict(record["shifted"])
         squared = ClassifiedSpectrum.from_dict(record["squared"])

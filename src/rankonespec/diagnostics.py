@@ -96,7 +96,7 @@ def oracle_comparison(op: OperatorSpec, window: float, n: Optional[int] = None) 
         raise ValueError(f"truncation {n} does not reach the window {window}")
     solver = [(e.z, e.multiplicity) for e in classify_spectrum(op, window).entries]
     values = oracle.jacobi_eigenvalues(oracle.truncated_matrix(op, n))
-    clusters = oracle.cluster_eigenvalues(values, oracle.CLUSTER_RADIUS)
+    clusters = oracle.cluster_eigenvalues(values)
     ends = np.cumsum([m for _, m in clusters])
     truth = [
         (z, m, values[end - m:end].tolist()) for (z, m), end in zip(clusters, ends) if z <= window

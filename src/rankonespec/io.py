@@ -7,7 +7,6 @@ and dict key order is the construction order of the schema builders.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps does to a str
@@ -56,22 +55,13 @@ def read_json(path: str | Path) -> dict:
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Comma-separated rows under a header line: floats with 17 significant
-    digits, any other value as str().
+    """Comma-separated rows of floats under a header line, each float with
+    17 significant digits.
 
-    When the first row holds only floats, as every row the CLI writes does,
-    each row is formatted with one % operation on a format built from that
-    row, and every later row must also be a row of floats of the same length
-    (a str or a ragged row raises TypeError). Any other first row selects
-    per-value formatting for all rows."""
-    rows = iter(rows)
-    first = next(rows, None)
+    Every row is formatted with one % operation on a format built from the
+    header's length, so a str, or a row longer or shorter than the header,
+    raises TypeError."""
+    fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    if first is not None and all(isinstance(v, float) for v in first):
-        fmt = ",".join(["%.17g"] * len(first))
-        lines.append(fmt % tuple(first))
-        lines.extend(fmt % tuple(row) for row in rows)
-    elif first is not None:
-        for row in itertools.chain([first], rows):
-            lines.append(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
+    lines.extend(fmt % tuple(row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")

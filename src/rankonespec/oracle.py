@@ -22,13 +22,14 @@ from .potential import OperatorSpec
 
 LATTICE_GUARD = 1e-3  # scan exclusion radius around even integers
 CLUSTER_RADIUS = 1e-6  # eigenvalues closer than this form one cluster
+SCAN_GRID_STEP = 0.01  # spacing of the zero scan's sign-change grid
 # complex step of the zero scan: Re D(x + ih) = D(x) - h^2 D''(x)/2 and
 # Im D(x + ih)/h = D'(x) - h^2 D'''(x)/6. Away from the lattice the kernel's
 # intermediates are O(1) and complex, and their rounding swamps a step of
 # 1e-20; at 1e-8 the h^2 term moves roots near the origin, where D' ~ D'' x,
 # by 1e-13 relative. 1e-10 keeps both below rounding.
 _COMPLEX_STEP = 1e-10
-_SCAN_STEPS = 64  # bisection alone takes a 0.01 bracket below an ulp in 46
+_SCAN_STEPS = 64  # bisection alone takes a SCAN_GRID_STEP bracket below an ulp in 46
 _EPS = float(np.finfo(float).eps)
 
 
@@ -138,16 +139,14 @@ def jacobi_eigenvalues(
     raise ConvergenceError(f"Jacobi sweep limit ({max_sweeps}) exceeded")
 
 
-def cluster_eigenvalues(
-    values: np.ndarray, cluster_radius: float = CLUSTER_RADIUS
-) -> list[tuple[float, int]]:
+def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, int]]:
     """Group sorted eigenvalues into (mean, multiplicity) clusters: a new
-    cluster starts wherever two neighbours are more than cluster_radius
+    cluster starts wherever two neighbours are more than CLUSTER_RADIUS
     apart."""
     vals = np.sort(np.asarray(values, dtype=float))
     if vals.size == 0:
         return []
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) > cluster_radius) + 1))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) > CLUSTER_RADIUS) + 1))
     counts = np.diff(np.append(starts, vals.size))
     means = np.add.reduceat(vals, starts) / counts
     # reduceat sums a0 + (a1 + a2 ...), np.mean (a0 + a1) + a2 ...; keep
@@ -162,9 +161,7 @@ def oracle_spectrum(op: OperatorSpec, n: int) -> list[tuple[float, int]]:
     return cluster_eigenvalues(jacobi_eigenvalues(truncated_matrix(op, n)))
 
 
-def scan_char_zeros(
-    op: OperatorSpec, lambda_max: float, grid_step: float = 0.01
-) -> list[float]:
+def scan_char_zeros(op: OperatorSpec, lambda_max: float) -> list[float]:
     """Positive real zeros of the perturbed characteristic function located
     by sign changes on a uniform grid over (0, lambda_max].
 
@@ -179,9 +176,7 @@ def scan_char_zeros(
     h. A step that leaves its bracket becomes a bisection, and the sign of D
     keeps every bracket current.
     """
-    if grid_step > 0.01:
-        raise ValueError("grid_step must be at most 0.01")
-    grid = np.arange(grid_step, lambda_max + grid_step / 2.0, grid_step)
+    grid = np.arange(SCAN_GRID_STEP, lambda_max + SCAN_GRID_STEP / 2.0, SCAN_GRID_STEP)
     off_lattice = np.abs(grid - 2.0 * np.round(grid / 2.0)) >= LATTICE_GUARD
     lattice = 2.0 * np.arange(math.floor(lambda_max / 2.0 + LATTICE_GUARD) + 1)
     edges = np.concatenate((lattice - LATTICE_GUARD, lattice + LATTICE_GUARD))

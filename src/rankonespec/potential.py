@@ -30,6 +30,14 @@ PROBE_COS_SHIFT = math.sqrt(math.pi / 2.0)
 PROBE_CONST_SHIFT = math.pi ** 2.5 / 12.0
 
 
+def as_int(x) -> int:
+    """int(x) for an integer field of a JSON record; TypeError for a
+    fractional float, which int() would truncate without a word."""
+    if isinstance(x, float) and not x.is_integer():
+        raise TypeError(f"non-integral value {x!r} for an integer field")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Real potential v(x) = c0/sqrt(pi) + sum_k sqrt(2/pi)(c_k cos 2kx + s_k sin 2kx).
@@ -93,8 +101,8 @@ class PotentialSpec:
         try:
             c0 = float(d["c0"])
             terms = d["terms"]
-            K = int(d["K"])
-            pairs = tuple((int(t["k"]), float(t["c"]), float(t["s"])) for t in terms)
+            K = as_int(d["K"])
+            pairs = tuple((as_int(t["k"]), float(t["c"]), float(t["s"])) for t in terms)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed potential record: {exc}") from exc
         spec = cls(c0=c0, pairs=pairs)
@@ -113,11 +121,6 @@ class OperatorSpec:
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ValueError("coupling constant must be finite")
-
-    @property
-    def normalized(self) -> bool:
-        """True under the canonical normalization ||v|| = 1."""
-        return abs(self.potential.norm_sq - 1.0) <= 1e-12
 
     def to_dict(self) -> dict:
         return {"alpha": float(self.alpha), "potential": self.potential.to_dict()}

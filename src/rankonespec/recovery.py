@@ -43,37 +43,25 @@ class SpectralData:
 
     active_levels: tuple[float, ...]
     mus: tuple[float, ...]
-    reduced_levels: tuple[float, ...]
     window: float
 
     @classmethod
     def from_classified(cls, cs: ClassifiedSpectrum) -> "SpectralData":
         mus = []
-        reduced = []
+        active = []
         zero_level_inactive = False
         for e in cs.entries:
             if e.tag in (SpectrumClass.SECULAR, SpectrumClass.COINCIDENT):
                 mus.append(e.z)
             if e.tag is SpectrumClass.REDUCED:
-                reduced.append(e.z)
+                active.append(e.z)
             if e.z == 0.0 and e.tag in (SpectrumClass.UNCHANGED, SpectrumClass.COINCIDENT):
                 zero_level_inactive = True
-        active = list(reduced)
         if not zero_level_inactive:
             # an active constant level leaves no eigenvalue behind; its
             # absence from the entries is the signal
             active.append(0.0)
-        return cls(
-            active_levels=tuple(sorted(active)),
-            mus=tuple(sorted(mus)),
-            reduced_levels=tuple(sorted(reduced)),
-            window=cs.window,
-        )
-
-    def orientation(self) -> int:
-        """+1 when secular roots sit above their paired poles (positive
-        coupling), -1 when below."""
-        return check_interlacing(self)
+        return cls(active_levels=tuple(sorted(active)), mus=tuple(sorted(mus)), window=cs.window)
 
 
 def check_interlacing(data: SpectralData) -> int:
@@ -124,27 +112,21 @@ def weights_from_spectrum(data: SpectralData) -> WeightTable:
     return WeightTable(weights=weights, alpha=None, active=tuple(weights))
 
 
-def alpha_and_norms(
-    table: WeightTable, orientation: Optional[int] = None
-) -> tuple[float, dict[int, float]]:
+def alpha_and_norms(table: WeightTable) -> tuple[float, dict[int, float]]:
     """Coupling constant and level norms under the unit-norm convention.
 
-    alpha = sum of weights (since sum ||v_k||^2 = 1); the sign is
-    cross-checked against the interlacing orientation when provided.
+    alpha = sum of weights (since sum ||v_k||^2 = 1). The Loewner residues
+    of interlacing data all carry the orientation's sign, so the sum does
+    too, and needs no cross-check against it.
     """
-    total = sum(table.weights.values())
-    if total == 0.0:
+    alpha = sum(table.weights.values())
+    if alpha == 0.0:
         raise DegenerateOperatorError("all recovered weights vanish")
-    if orientation is not None and math.copysign(1.0, total) != orientation:
-        raise InconsistentSpectraError(
-            "sign of summed weights contradicts the interlacing orientation"
-        )
-    alpha = total
     norms = {k: x / alpha for k, x in table.weights.items()}
     return alpha, norms
 
 
-def weights_from_char_derivative(op: OperatorSpec, max_level: Optional[int] = None) -> WeightTable:
+def weights_from_char_derivative(op: OperatorSpec) -> WeightTable:
     """Forward-side cross-check: weights from the characteristic function.
 
     X_0 = -(1/pi^2) D(0) and X_p = -(4p/pi^2) D'(2p), with the complex-step
@@ -156,8 +138,7 @@ def weights_from_char_derivative(op: OperatorSpec, max_level: Optional[int] = No
     level comes from one evaluation. A level is active under weight_table's
     rule, |X_p / alpha| above WEIGHT_FLOOR.
     """
-    cap = op.potential.K if max_level is None else max_level
-    levels = np.arange(1, cap + 1)
+    levels = np.arange(1, op.potential.K + 1)
     d = charfn.char_perturbed(op, np.append(0.0, 2.0 * levels + 1j * _COMPLEX_STEP))
     x = np.append(-d[0].real, -4.0 * levels * d[1:].imag / _COMPLEX_STEP) / _PI_SQ
     weights = dict(enumerate(x.tolist()))

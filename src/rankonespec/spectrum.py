@@ -25,10 +25,11 @@ import numpy as np
 
 from .errors import DegenerateOperatorError
 from .numerics import secular_equation_roots, secular_eval
-from .potential import OperatorSpec, PotentialSpec, build_potential, evaluate
+from .potential import OperatorSpec, PotentialSpec, as_int, build_potential, evaluate
 
 WEIGHT_FLOOR = 1e-13
 COINCIDENCE_TOL = 1e-9
+MAX_LEVELS = 10 ** 6  # most levels a classified spectrum lists: a window below 4e12
 
 
 def level_value(k: int) -> float:
@@ -71,7 +72,7 @@ class SpectrumEntry:
     @classmethod
     def from_dict(cls, d: dict) -> "SpectrumEntry":
         return cls(
-            z=float(d["z"]), multiplicity=int(d["m"]), tag=SpectrumClass(d["tag"])
+            z=float(d["z"]), multiplicity=as_int(d["m"]), tag=SpectrumClass(d["tag"])
         )
 
 
@@ -81,10 +82,6 @@ class ClassifiedSpectrum:
 
     entries: tuple[SpectrumEntry, ...]
     window: float
-
-    def total_multiplicity(self, z_max: Optional[float] = None) -> int:
-        cap = self.window if z_max is None else z_max
-        return sum(e.multiplicity for e in self.entries if e.z <= cap)
 
     def to_dict(self) -> dict:
         return {
@@ -115,14 +112,6 @@ class WeightTable:
     weights: dict[int, float]
     alpha: Optional[float]
     active: tuple[int, ...]
-
-    def norms(self) -> dict[int, float]:
-        if self.alpha is None:
-            raise ValueError("weight table carries no coupling constant")
-        return {k: x / self.alpha for k, x in self.weights.items()}
-
-    def active_poles(self) -> list[float]:
-        return [level_value(k) for k in sorted(self.active)]
 
 
 def weight_table(op: OperatorSpec) -> WeightTable:
@@ -168,6 +157,8 @@ def classify_spectrum(op: OperatorSpec, z_window: float) -> ClassifiedSpectrum:
     """Full classified spectrum up to z_window (negative part included)."""
     if z_window < 4.0:
         raise ValueError("window must be at least 4")
+    if math.sqrt(z_window) / 2.0 >= MAX_LEVELS:
+        raise OverflowError(f"window {z_window} spans more than MAX_LEVELS = {MAX_LEVELS} levels")
     table = weight_table(op)
     mus = secular_roots(table, z_window)
 

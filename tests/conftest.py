@@ -47,10 +47,9 @@ def rng():
 
 
 def reference_csv(header, rows) -> str:
-    """CSV text with every value formatted on its own: floats with 17
-    significant digits, anything else with str(). io.write_csv must write
-    these bytes."""
+    """CSV text with every float formatted on its own with 17 significant
+    digits. io.write_csv must write these bytes."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(format(v, ".17g") for v in row))
     return "\n".join(lines) + "\n"

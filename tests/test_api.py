@@ -1,7 +1,8 @@
 """The public surface: names exported by the package, the members of
-Eigenfunction, AdmissibilityReport and PotentialSpec, the keys of the synth
-report, the signatures of the characteristic-function entry points and the
-options of each CLI subcommand. A change here is an API change and belongs
+Eigenfunction, AdmissibilityReport, PotentialSpec and SpectralData, the keys
+of the synth report, the signatures of the characteristic-function entry
+points and of the trimmed recovery and oracle functions, and the options of
+each CLI subcommand. A change here is an API change and belongs
 in CHANGES.md."""
 
 import argparse
@@ -11,7 +12,7 @@ import inspect
 import pytest
 
 import rankonespec
-from rankonespec import Eigenfunction, charfn, cli
+from rankonespec import Eigenfunction, charfn, cli, oracle
 
 PUBLIC_NAMES = [
     "AdmissibilityReport",
@@ -96,6 +97,29 @@ def test_potential_spec_fields():
     assert [f.name for f in dataclasses.fields(rankonespec.PotentialSpec)] == ["c0", "pairs"]
 
 
+def test_spectral_data_fields():
+    assert [f.name for f in dataclasses.fields(rankonespec.SpectralData)] == [
+        "active_levels",
+        "mus",
+        "window",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fn, params",
+    [
+        (rankonespec.alpha_and_norms, ["table"]),
+        (rankonespec.weights_from_char_derivative, ["op"]),
+        (rankonespec.scan_char_zeros, ["op", "lambda_max"]),
+        (oracle.cluster_eigenvalues, ["values"]),
+    ],
+)
+def test_trimmed_signatures(fn, params):
+    # the grid spacing, the cluster radius, the level cap and the sign check
+    # each have one value in use, so they are constants, not parameters
+    assert list(inspect.signature(fn).parameters) == params
+
+
 CLI_OPTIONS = {
     "forward": ["--input", "--output", "--window", "--emit-plot"],
     "inverse": ["--input", "--output", "--order"],
@@ -140,7 +164,7 @@ def test_synth_report_keys(mus, accepted):
     # data admissibility is interlacing, so every verdict key but the
     # structural symmetry is the one verdict
     data = rankonespec.SpectralData(
-        active_levels=(4.0, 36.0), mus=mus, reduced_levels=(4.0, 36.0), window=40.0
+        active_levels=(4.0, 36.0), mus=mus, window=40.0
     )
     report = rankonespec.check_admissibility(data).to_dict()
     assert list(report) == SYNTH_REPORT_KEYS

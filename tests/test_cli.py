@@ -363,7 +363,14 @@ def test_error_json_written_to_output(tmp_path):
 
 @pytest.mark.parametrize(
     "cmd, window",
-    [("forward", "inf"), ("oracle-compare", "inf"), ("forward", "1e300")],
+    [
+        ("forward", "inf"),
+        ("oracle-compare", "inf"),
+        ("forward", "1e300"),
+        # finite, but listing every level up to them would exhaust memory
+        ("forward", "1e20"),
+        ("oracle-compare", "1e16"),
+    ],
 )
 def test_window_beyond_the_float_range_exits_2(tmp_path, const_op_file, cmd, window):
     out = tmp_path / "out.json"
@@ -374,22 +381,40 @@ def test_window_beyond_the_float_range_exits_2(tmp_path, const_op_file, cmd, win
     assert "message" in payload["detail"]
 
 
+_FRACTIONAL_M = {"window": 40.0, "entries": [{"z": 1.0, "m": 1.9, "tag": "secular"}]}
+
+
 @pytest.mark.parametrize(
-    "record",
+    "record, message",
     [
-        {"base": {}, "shifted": {}, "squared": {}, "K": None},
-        [{"base": {}, "shifted": {}, "squared": {}, "K": 4}],
+        ({"base": {}, "shifted": {}, "squared": {}, "K": None}, "three-spectra record"),
+        ([{"base": {}, "shifted": {}, "squared": {}, "K": 4}], "three-spectra record"),
+        ({"base": {}, "shifted": {}, "squared": {}, "K": 4.5}, "three-spectra record"),
+        (
+            {"base": _FRACTIONAL_M, "shifted": _FRACTIONAL_M, "squared": _FRACTIONAL_M, "K": 0},
+            "malformed spectrum record",
+        ),
     ],
-    ids=["null-order", "top-level-list"],
+    ids=["null-order", "top-level-list", "fractional-order", "fractional-multiplicity"],
 )
-def test_inverse_malformed_record_exits_2(tmp_path, record):
+def test_inverse_malformed_record_exits_2(tmp_path, record, message):
     inp = tmp_path / "three.json"
     inp.write_text(json.dumps(record))
     out = tmp_path / "out.json"
     assert main(["inverse", "--input", str(inp), "--output", str(out)]) == 2
     payload = read_json(out)
     assert payload["error"] == "ValueError"
-    assert "three-spectra record" in payload["detail"]["message"]
+    assert message in payload["detail"]["message"]
+
+
+def test_synth_fractional_multiplicity_exits_2(tmp_path):
+    inp = tmp_path / "spec.json"
+    inp.write_text(json.dumps(_FRACTIONAL_M))
+    out = tmp_path / "out.json"
+    assert main(["synth", "--input", str(inp), "--output", str(out)]) == 2
+    payload = read_json(out)
+    assert payload["error"] == "ValueError"
+    assert "malformed spectrum record" in payload["detail"]["message"]
 
 
 @pytest.mark.parametrize(
@@ -397,8 +422,10 @@ def test_inverse_malformed_record_exits_2(tmp_path, record):
     [
         ({"c0": 0.6, "terms": [{"k": 1, "c": 0.64, "s": 0.48}], "K": 2}, "does not match largest harmonic"),
         ({"c0": 0.6, "terms": [{"c": 0.64, "s": 0.48}], "K": 1}, "malformed potential record"),
+        ({"c0": 0.6, "terms": [{"k": 1.9, "c": 0.64, "s": 0.48}], "K": 1}, "malformed potential record"),
+        ({"c0": 0.6, "terms": [{"k": 1, "c": 0.64, "s": 0.48}], "K": 1.7}, "malformed potential record"),
     ],
-    ids=["mismatched-order", "term-without-index"],
+    ids=["mismatched-order", "term-without-index", "fractional-index", "fractional-order"],
 )
 def test_forward_malformed_potential_exits_2(tmp_path, potential, message):
     path = tmp_path / "op.json"

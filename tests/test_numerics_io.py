@@ -285,17 +285,6 @@ class TestCsv:
         "header, rows",
         [
             (list("abcdefg"), FLOATS),
-            # a first row that is not all floats selects per-value formatting,
-            # so any later row may mix types
-            (
-                list("abcd"),
-                [
-                    (7, "x", -0.0, 1e16),
-                    (0.1, 2, "y z", 1e17),
-                    (-(10 ** 20), "", 5e-324, 4.0),
-                    (float("nan"), 3.0, np.float64(1.5), "w"),
-                ],
-            ),
             (["x"], [(0.1,), (1 / 3,), (-1e-17,)]),
             (["x", "y"], []),
         ],
@@ -305,7 +294,18 @@ class TestCsv:
         write_csv(path, header, iter(rows))
         assert path.read_bytes() == reference_csv(header, rows).encode()
 
-    @pytest.mark.parametrize("bad", [(1.0, "x"), (1.0,), (1.0, 2.0, 3.0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [(0.5, 0.25), (1.0, "x")],
+            [(0.5, 0.25), (1.0,)],
+            [(0.5, 0.25), (1.0, 2.0, 3.0)],
+            # the format follows the header, whatever the first row holds
+            [(1.0, "x"), (0.5, 0.25)],
+            [(1.0, 2.0, 3.0)],
+            [(1.0,)],
+        ],
+    )
     def test_float_rows_reject_a_str_or_a_ragged_row(self, tmp_path, bad):
         with pytest.raises(TypeError):
-            write_csv(tmp_path / "out.csv", ["a", "b"], [(0.5, 0.25), bad])
+            write_csv(tmp_path / "out.csv", ["a", "b"], bad)

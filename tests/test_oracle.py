@@ -251,7 +251,7 @@ class TestClusterEigenvalues:
             # near-ties below, at and above the radius, chained or not
             ties = rng.choice(size, size=size // 2)
             vals = np.sort(np.concatenate([vals, vals[ties] + rng.choice((0.0, 1e-9, 1e-6, 2e-6), len(ties))]))
-            got = cluster_eigenvalues(vals, 1e-6)
+            got = cluster_eigenvalues(vals)
             want = cluster_loop(vals, 1e-6)
             assert got == want
             assert all(type(z) is float and type(m) is int for z, m in got)
@@ -291,7 +291,7 @@ class TestOracleSpectrum:
 
     def test_cluster_radius(self):
         vals = np.array([1.0, 1.0 + 1e-8, 2.0])
-        assert cluster_eigenvalues(vals, 1e-6) == [(pytest.approx(1.0), 2), (2.0, 1)]
+        assert cluster_eigenvalues(vals) == [(pytest.approx(1.0), 2), (2.0, 1)]
 
 
 class TestScan:
@@ -308,10 +308,6 @@ class TestScan:
     def test_unperturbed_scan_is_empty(self):
         # all unperturbed zeros sit on the excluded lattice
         assert scan_char_zeros(OperatorSpec(0.0, CONST), 5.0) == []
-
-    def test_step_precondition(self):
-        with pytest.raises(ValueError):
-            scan_char_zeros(OperatorSpec(1.0, CONST), 3.0, grid_step=0.05)
 
     def test_matches_secular_entries(self, rng):
         # squared scan roots equal the positive secular eigenvalues
@@ -361,11 +357,9 @@ class TestScan:
         op = OperatorSpec(1.0, build_potential(1.0, [(1, 0.1, 0.0)], normalize=False))
         z = next(e.z for e in classify_spectrum(op, 9.0).entries if 4.0 < e.z < 9.0)
         assert 1e-3 < math.sqrt(z) - 2.0 < 1e-2
-        for grid_step in (0.01, 0.001):
-            roots = scan_char_zeros(op, 3.0, grid_step=grid_step)
-            near = [x for x in roots if abs(x - 2.0) < 1e-2]
-            assert len(near) == 1
-            assert near[0] ** 2 == pytest.approx(z, rel=1e-12)
+        near = [x for x in scan_char_zeros(op, 3.0) if abs(x - 2.0) < 1e-2]
+        assert len(near) == 1
+        assert near[0] ** 2 == pytest.approx(z, rel=1e-12)
 
     def test_roots_match_secular_solver(self, rng):
         # every scanned root squared is a secular root to rounding, and every

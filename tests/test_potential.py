@@ -181,15 +181,23 @@ def test_from_dict_rejects_mismatched_order(K):
 
 
 @pytest.mark.parametrize(
-    "terms",
-    [[{"c": 1.0, "s": 0.0}], [{"k": 1, "c": 1.0, "s": None}], 5],
-    ids=["missing-index", "null-coefficient", "not-a-list"],
+    "terms, K",
+    [
+        ([{"c": 1.0, "s": 0.0}], 1),
+        ([{"k": 1, "c": 1.0, "s": None}], 1),
+        (5, 1),
+        # int() would truncate either to 1
+        ([{"k": 1.9, "c": 1.0, "s": 0.0}], 1),
+        ([{"k": 1, "c": 1.0, "s": 0.0}], 1.7),
+    ],
+    ids=["missing-index", "null-coefficient", "not-a-list", "fractional-index", "fractional-order"],
 )
-def test_from_dict_rejects_malformed_terms(terms):
+def test_from_dict_rejects_malformed_terms(terms, K):
     with pytest.raises(ValueError, match="malformed potential record"):
-        PotentialSpec.from_dict({"c0": 1.0, "terms": terms, "K": 1})
+        PotentialSpec.from_dict({"c0": 1.0, "terms": terms, "K": K})
 
 
-def test_operator_normalized_flag():
-    assert OperatorSpec(2.0, build_potential(1.0)).normalized
-    assert not OperatorSpec(2.0, build_potential(0.5)).normalized
+def test_from_dict_takes_integral_floats():
+    record = {"c0": 0.6, "terms": [{"k": 2.0, "c": 0.8, "s": 0.0}], "K": 2.0}
+    assert PotentialSpec.from_dict(record) == build_potential(0.6, [(2, 0.8, 0.0)])
+

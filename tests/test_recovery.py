@@ -60,25 +60,21 @@ def three_spectra(alpha, v, order=32):
 
 class TestWeightsFromSpectrum:
     def test_single_constant_level(self):
-        d = SpectralData(active_levels=(0.0,), mus=(1.0,), reduced_levels=(), window=40.0)
+        d = SpectralData(active_levels=(0.0,), mus=(1.0,), window=40.0)
         assert weights_from_spectrum(d).weights == {0: pytest.approx(1.0, abs=1e-10)}
 
     def test_two_level_round_trip_values(self):
-        d = SpectralData(
-            active_levels=(0.0, 4.0), mus=(ROOT_LO, ROOT_HI), reduced_levels=(4.0,), window=40.0
-        )
+        d = SpectralData(active_levels=(0.0, 4.0), mus=(ROOT_LO, ROOT_HI), window=40.0)
         w = weights_from_spectrum(d).weights
         assert w[0] == pytest.approx(0.5, abs=1e-9)
         assert w[1] == pytest.approx(0.5, abs=1e-9)
 
     def test_single_upper_level(self):
-        d = SpectralData(active_levels=(4.0,), mus=(4.5,), reduced_levels=(4.0,), window=40.0)
+        d = SpectralData(active_levels=(4.0,), mus=(4.5,), window=40.0)
         assert weights_from_spectrum(d).weights == {1: pytest.approx(0.5, abs=1e-9)}
 
     def test_interlacing_violation_rejected(self):
-        d = SpectralData(
-            active_levels=(0.0, 4.0), mus=(1.0, 2.0), reduced_levels=(4.0,), window=40.0
-        )
+        d = SpectralData(active_levels=(0.0, 4.0), mus=(1.0, 2.0), window=40.0)
         with pytest.raises(MalformedSpectrumError):
             weights_from_spectrum(d)
 
@@ -115,21 +111,16 @@ class TestWeightsFromSpectrum:
 class TestAlphaAndNorms:
     def test_unit_table(self):
         d = forward_data(OperatorSpec(1.0, CONST), 40.0)
-        alpha, norms = alpha_and_norms(weights_from_spectrum(d), orientation=d.orientation())
+        alpha, norms = alpha_and_norms(weights_from_spectrum(d))
         assert alpha == pytest.approx(1.0, abs=1e-9)
         assert norms[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_coupling_orientation(self):
         d = forward_data(OperatorSpec(-2.0, CONST), 40.0)
-        assert d.orientation() == -1
-        alpha, norms = alpha_and_norms(weights_from_spectrum(d), orientation=-1)
+        assert check_interlacing(d) == -1
+        alpha, norms = alpha_and_norms(weights_from_spectrum(d))
         assert alpha == pytest.approx(-2.0, abs=1e-9)
         assert norms[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_sign_mismatch_rejected(self):
-        d = forward_data(OperatorSpec(1.0, CONST), 40.0)
-        with pytest.raises(InconsistentSpectraError):
-            alpha_and_norms(weights_from_spectrum(d), orientation=-1)
 
 
 class TestRouteAgreement:
@@ -138,8 +129,10 @@ class TestRouteAgreement:
         assert w.weights[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_inactive_level_gives_zero(self):
-        w = weights_from_char_derivative(OperatorSpec(1.0, CONST), max_level=1)
+        op = OperatorSpec(1.0, build_potential(0.6, [(1, 0.0, 0.0), (2, 0.8, 0.0)]))
+        w = weights_from_char_derivative(op)
         assert w.weights[1] == pytest.approx(0.0, abs=1e-8)
+        assert w.active == (0, 2)
 
     def test_reduced_example(self):
         op = OperatorSpec(0.5, build_potential(0.0, [(1, 1.0, 0.0)]))
@@ -266,7 +259,6 @@ def interlacing_data(draw):
     return SpectralData(
         active_levels=tuple(poles),
         mus=tuple(mus),
-        reduced_levels=tuple(p for p in poles if p != 0.0),
         window=max(poles[-1], mus[-1]),
     )
 
@@ -293,9 +285,7 @@ class TestAdmissibility:
     @settings(max_examples=60, deadline=None)
     @given(data=interlacing_data())
     @example(
-        data=SpectralData(
-            active_levels=(4.0, 36.0), mus=(0.0, 20.0), reduced_levels=(4.0, 36.0), window=40.0
-        )
+        data=SpectralData(active_levels=(4.0, 36.0), mus=(0.0, 20.0), window=40.0)
     )
     @example(
         # a root near 0 under a coupling near -1e4 comes back 1.5e-12 off,
@@ -304,7 +294,6 @@ class TestAdmissibility:
             active_levels=WIDE_LEVELS,
             mus=(0.5309220353368813, 13.600000000000001, 206.2, 452.2, 1468.6, 1945.0,
                  2135.2, 2724.72904911045, 3157.4, 7961.8),
-            reduced_levels=WIDE_LEVELS,
             window=12100.0,
         )
     )
@@ -313,7 +302,6 @@ class TestAdmissibility:
         data=SpectralData(
             active_levels=(4.0, 16384.0),
             mus=(10.0, math.nextafter(16384.0, math.inf)),
-            reduced_levels=(4.0, 16384.0),
             window=16385.0,
         )
     )
@@ -344,17 +332,13 @@ class TestAdmissibility:
         assert np.all(np.abs(got - want) <= tol)
 
     def test_rejects_permuted_roots(self):
-        bad = SpectralData(
-            active_levels=(0.0, 4.0), mus=(1.0, 2.0), reduced_levels=(4.0,), window=40.0
-        )
+        bad = SpectralData(active_levels=(0.0, 4.0), mus=(1.0, 2.0), window=40.0)
         report = check_admissibility(bad)
         assert not report.accepted
         assert report.to_dict()["zero_structure_ok"] is False
 
     def test_rejects_double_overshoot(self):
-        bad = SpectralData(
-            active_levels=(0.0, 4.0), mus=(-1.0, 5.0), reduced_levels=(4.0,), window=40.0
-        )
+        bad = SpectralData(active_levels=(0.0, 4.0), mus=(-1.0, 5.0), window=40.0)
         with pytest.raises(MalformedSpectrumError):
             check_interlacing(bad)
         assert not check_admissibility(bad).accepted
@@ -379,9 +363,7 @@ class TestAdmissibility:
         assert d2.mus[0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_rejected_report_cannot_synthesize(self):
-        bad = SpectralData(
-            active_levels=(0.0, 4.0), mus=(1.0, 2.0), reduced_levels=(4.0,), window=40.0
-        )
+        bad = SpectralData(active_levels=(0.0, 4.0), mus=(1.0, 2.0), window=40.0)
         with pytest.raises(MalformedSpectrumError):
             synthesize_from_admissible(check_admissibility(bad))
 
@@ -396,7 +378,6 @@ class TestSpectralDataConversion:
         op = OperatorSpec(0.5, build_potential(0.0, [(1, 1.0, 0.0)]))
         d = forward_data(op, 40.0)
         assert d.active_levels == (4.0,)
-        assert d.reduced_levels == (4.0,)
 
     def test_coincident_roots_count_as_secular(self):
         d = forward_data(OperatorSpec(4.0, CONST), 40.0)
