@@ -317,12 +317,6 @@ def _autocorr_residual(kernel, arr, scalar):
     return _in_float_range("autocorrelation identity residual", arr, out)
 
 
-def autocorr_identity_residual(spec: PotentialSpec, lam):
-    """|AC + AC* - F F*| at lam, from one pass of the transform kernel."""
-    arr, scalar = _as_lambda_array(lam)
-    return _autocorr_residual(_transforms(spec, arr), arr, scalar)
-
-
 def char_with_autocorr_residual(op: OperatorSpec, lam):
     """char_perturbed, char_unperturbed and the autocorrelation identity
     residual |AC + AC* - F F*| at lam, as (D, D0, residual).

@@ -31,10 +31,10 @@ PROBE_CONST_SHIFT = math.pi ** 2.5 / 12.0
 
 
 def as_int(x) -> int:
-    """int(x) for an integer field of a JSON record; TypeError for a
-    fractional float, which int() would truncate without a word."""
-    if isinstance(x, float) and not x.is_integer():
-        raise TypeError(f"non-integral value {x!r} for an integer field")
+    """int(x) for an integer field of a JSON record; TypeError for a bool, a
+    string or a fractional float, which int() would read or truncate."""
+    if isinstance(x, (bool, str)) or isinstance(x, float) and not x.is_integer():
+        raise TypeError(f"{x!r} is not an integer for an integer field")
     return int(x)
 
 

@@ -47,17 +47,10 @@ class SpectralData:
 
     @classmethod
     def from_classified(cls, cs: ClassifiedSpectrum) -> "SpectralData":
-        mus = []
-        active = []
-        zero_level_inactive = False
-        for e in cs.entries:
-            if e.tag in (SpectrumClass.SECULAR, SpectrumClass.COINCIDENT):
-                mus.append(e.z)
-            if e.tag is SpectrumClass.REDUCED:
-                active.append(e.z)
-            if e.z == 0.0 and e.tag in (SpectrumClass.UNCHANGED, SpectrumClass.COINCIDENT):
-                zero_level_inactive = True
-        if not zero_level_inactive:
+        secular = (SpectrumClass.SECULAR, SpectrumClass.COINCIDENT)
+        mus = [e.z for e in cs.entries if e.tag in secular]
+        active = [e.z for e in cs.entries if e.tag is SpectrumClass.REDUCED]
+        if all(e.z != 0.0 for e in cs.entries):
             # an active constant level leaves no eigenvalue behind; its
             # absence from the entries is the signal
             active.append(0.0)

@@ -17,13 +17,13 @@ and 2 otherwise. A rank-one perturbation splits it into four classes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateOperatorError
+from .errors import DegenerateOperatorError, MalformedSpectrumError
 from .numerics import secular_equation_roots, secular_eval
 from .potential import OperatorSpec, PotentialSpec, as_int, build_potential, evaluate
 
@@ -60,28 +60,66 @@ class SpectrumClass(str, Enum):
     COINCIDENT = "coincident"
 
 
+# the class of each multiplicity: off the lattice 4k^2, at k = 0, at k >= 1
+_OFF_LATTICE = {1: SpectrumClass.SECULAR}
+_LEVEL_ZERO = {1: SpectrumClass.UNCHANGED, 2: SpectrumClass.COINCIDENT}
+_LEVEL = {1: SpectrumClass.REDUCED, 2: SpectrumClass.UNCHANGED, 3: SpectrumClass.COINCIDENT}
+
+
 @dataclass(frozen=True)
 class SpectrumEntry:
+    """An eigenvalue with its multiplicity. Its class, the tag, is derived
+    from the two; a pair that no class has raises MalformedSpectrumError."""
+
     z: float
     multiplicity: int
-    tag: SpectrumClass
+    tag: SpectrumClass = field(init=False)
+
+    def __post_init__(self):
+        z, m = self.z, self.multiplicity
+        if not math.isfinite(z):
+            raise MalformedSpectrumError(f"non-finite eigenvalue z={z}")
+        k = round(math.sqrt(z) / 2.0) if z > 0.0 else 0  # nearest_level, inlined: every entry pays
+        classes =_OFF_LATTICE if z != 4.0 * k * k else _LEVEL_ZERO if k == 0 else _LEVEL
+        if m not in classes:
+            raise MalformedSpectrumError(f"no spectrum class has z={z} with multiplicity {m!r}")
+        object.__setattr__(self, "tag", classes[m])
 
     def to_dict(self) -> dict:
         return {"z": float(self.z), "m": int(self.multiplicity), "tag": self.tag.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpectrumEntry":
-        return cls(
-            z=float(d["z"]), multiplicity=as_int(d["m"]), tag=SpectrumClass(d["tag"])
-        )
+        entry = cls(z=float(d["z"]), multiplicity=as_int(d["m"]))
+        if SpectrumClass(d["tag"]) is not entry.tag:
+            got = f"z={entry.z}, m={entry.multiplicity} is {entry.tag.value}"
+            raise MalformedSpectrumError(f"{got}, not {d['tag']}")
+        return entry
 
 
 @dataclass(frozen=True)
 class ClassifiedSpectrum:
-    """Sorted distinct eigenvalues with multiplicities; complete up to window."""
+    """Distinct eigenvalues with multiplicities, complete up to a finite
+    window: every level 4k^2 in (0, window] is listed, and nothing beyond."""
 
     entries: tuple[SpectrumEntry, ...]
     window: float
+
+    def __post_init__(self):
+        window = self.window
+        if not math.isfinite(window):
+            raise MalformedSpectrumError(f"spectrum window {window} is not finite")
+        zs = [e.z for e in self.entries]
+        if len(set(zs)) != len(zs):
+            twice = next(z for z in zs if zs.count(z) > 1)
+            raise MalformedSpectrumError(f"spectrum lists z={twice} twice")
+        if zs and max(zs) > window:
+            raise MalformedSpectrumError(f"z={max(zs)} lies beyond the spectrum window {window}")
+        listed = sum(e.tag is not SpectrumClass.SECULAR and e.z > 0.0 for e in self.entries)
+        levels = math.floor(math.sqrt(max(window, 0.0)) / 2.0)
+        if listed != levels:
+            wanted = f"{levels} levels 4k^2 in (0, {window}]"
+            raise MalformedSpectrumError(f"spectrum lists {listed} of the {wanted}")
 
     def to_dict(self) -> dict:
         return {
@@ -155,8 +193,8 @@ def secular_roots(table: WeightTable, z_window: float) -> list[float]:
 
 def classify_spectrum(op: OperatorSpec, z_window: float) -> ClassifiedSpectrum:
     """Full classified spectrum up to z_window (negative part included)."""
-    if z_window < 4.0:
-        raise ValueError("window must be at least 4")
+    if not z_window >= 4.0:
+        raise ValueError(f"window must be at least 4, got {z_window}")
     if math.sqrt(z_window) / 2.0 >= MAX_LEVELS:
         raise OverflowError(f"window {z_window} spans more than MAX_LEVELS = {MAX_LEVELS} levels")
     table = weight_table(op)
@@ -175,25 +213,14 @@ def classify_spectrum(op: OperatorSpec, z_window: float) -> ClassifiedSpectrum:
         if k in inactive_set and abs(mu - level_value(k)) <= COINCIDENCE_TOL:
             coincident.add(k)
         else:
-            entries.append(SpectrumEntry(mu, 1, SpectrumClass.SECULAR))
+            entries.append(SpectrumEntry(mu, 1))
     for k in inactive:
-        if k in coincident:
-            entries.append(
-                SpectrumEntry(
-                    level_value(k),
-                    level_multiplicity(k) + 1,
-                    SpectrumClass.COINCIDENT,
-                )
-            )
-        else:
-            entries.append(
-                SpectrumEntry(level_value(k), level_multiplicity(k), SpectrumClass.UNCHANGED)
-            )
+        entries.append(SpectrumEntry(level_value(k), level_multiplicity(k) + (k in coincident)))
     for k in sorted(active):
         if k == 0:
             continue  # active constant level loses its only eigenvalue
         if level_value(k) <= z_window:
-            entries.append(SpectrumEntry(level_value(k), 1, SpectrumClass.REDUCED))
+            entries.append(SpectrumEntry(level_value(k), 1))
     entries.sort(key=lambda e: e.z)
     return ClassifiedSpectrum(entries=tuple(entries), window=float(z_window))
 
@@ -276,20 +303,11 @@ def _require_member(op: OperatorSpec, entry: SpectrumEntry) -> None:
     """Reject entries that are not eigenvalues of this operator."""
     table = weight_table(op)
     tag = entry.tag
-    k = nearest_level(entry.z)
-    on_level = abs(entry.z - level_value(k)) <= COINCIDENCE_TOL
-    if tag in (SpectrumClass.UNCHANGED, SpectrumClass.COINCIDENT):
-        if not on_level or k in table.active:
-            raise ValueError(f"z={entry.z} is not an unperturbed level of this operator")
-    if (
-        tag is SpectrumClass.SECULAR
-        and entry.z == level_value(k)
-        and op.potential.level_norms().get(k, 0.0) > 0.0
-    ):
-        # any level of positive norm, near-floor ones included: the secular
-        # eigenfunction divides by each (a coincident entry sits on an
-        # inactive level, and is rejected above when that one is active)
-        raise ValueError(f"z={entry.z} sits on a weight-carrying level")
+    if tag is not SpectrumClass.SECULAR:
+        # an entry on the lattice: its level loses an eigenvalue exactly
+        # when it carries weight
+        if (nearest_level(entry.z) in table.active) != (tag is SpectrumClass.REDUCED):
+            raise ValueError(f"z={entry.z} is not a {tag.value} level of this operator")
     if tag in (SpectrumClass.SECULAR, SpectrumClass.COINCIDENT):
         # q over the active levels: a near-floor inactive level with a
         # positive norm would be a pole at a valid coincident entry
@@ -308,9 +326,6 @@ def _require_member(op: OperatorSpec, entry: SpectrumEntry) -> None:
             reach += COINCIDENCE_TOL
         if abs(q) > slope * reach + rounding:
             raise ValueError(f"z={entry.z} does not solve the secular equation")
-    if tag is SpectrumClass.REDUCED:
-        if not on_level or k not in table.active:
-            raise ValueError(f"z={entry.z} is not a weight-carrying level of this operator")
 
 
 def eigenfunctions(
@@ -343,7 +358,6 @@ def eigenfunctions(
         levels = {j for j, n in spec.level_norms().items() if n > 0.0}
         series = _resolvent_series(spec, z, levels, _secular_scale(z, normalize), normalize)
         return (Eigenfunction("secular", series, lam=lam),)
-    if tag is SpectrumClass.COINCIDENT:
-        series = _resolvent_series(spec, z, weight_table(op).active, 1.0, normalize)
-        return _basis_functions(k) + (Eigenfunction("secular", series),)
-    raise ValueError(f"unknown spectrum tag {tag!r}")  # pragma: no cover
+    # coincident
+    series = _resolvent_series(spec, z, weight_table(op).active, 1.0, normalize)
+    return _basis_functions(k) + (Eigenfunction("secular", series),)

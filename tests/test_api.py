@@ -1,9 +1,9 @@
 """The public surface: names exported by the package, the members of
-Eigenfunction, AdmissibilityReport, PotentialSpec and SpectralData, the keys
-of the synth report, the signatures of the characteristic-function entry
-points and of the trimmed recovery and oracle functions, and the options of
-each CLI subcommand. A change here is an API change and belongs
-in CHANGES.md."""
+Eigenfunction, AdmissibilityReport, PotentialSpec, SpectrumEntry and
+SpectralData, the keys of the synth report, the signatures of the
+characteristic-function entry points and of the trimmed recovery and oracle
+functions, and the options of each CLI subcommand. A change here is an API
+change and belongs in CHANGES.md."""
 
 import argparse
 import dataclasses
@@ -95,6 +95,13 @@ def test_char_signatures():
 def test_potential_spec_fields():
     # the order K is derived from the terms, not stored
     assert [f.name for f in dataclasses.fields(rankonespec.PotentialSpec)] == ["c0", "pairs"]
+
+
+def test_spectrum_entry_members():
+    # the class is derived from (z, multiplicity), not passed in
+    entry = rankonespec.SpectrumEntry
+    assert list(inspect.signature(entry).parameters) == ["z", "multiplicity"]
+    assert [f.name for f in dataclasses.fields(entry)] == ["z", "multiplicity", "tag"]
 
 
 def test_spectral_data_fields():

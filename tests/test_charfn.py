@@ -150,7 +150,6 @@ class TestCharPerturbed:
             lambda: charfn.char_unperturbed(230j),
             lambda: charfn.fourier_transform(CONST, 230j),
             lambda: charfn.autocorr_transform_star(CONST, -230j),
-            lambda: charfn.autocorr_identity_residual(CONST, np.array([1.0, 230j])),
         ):
             with pytest.raises(OverflowError, match="float range"):
                 evaluate()
@@ -176,7 +175,6 @@ class TestCharPerturbed:
             (d, charfn.char_perturbed(op, lam)),
             (d0, charfn.char_unperturbed(lam)),
             (residual, np.abs(lhs - rhs)),
-            (charfn.autocorr_identity_residual(spec, lam), np.abs(lhs - rhs)),
         ):
             assert np.shape(got) == np.shape(lam)
             assert np.array_equal(got, ref)

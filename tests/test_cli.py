@@ -151,14 +151,6 @@ def test_validate_makes_one_grid_kernel_pass(tmp_path, monkeypatch):
     assert main(["validate", "--input", str(inp), "--output", str(out), "--emit-plot"]) == 0
     grid = diagnostics.identity_grid()
     assert sizes == [grid.size]
-    for lam in (grid, np.array([-3.1, 0.0, 1e-6, 2.0 - 0.5j])):
-        sizes.clear()
-        got = charfn.autocorr_identity_residual(op.potential, lam)
-        assert sizes == [lam.size]
-        spec = op.potential
-        lhs = charfn.autocorr_transform(spec, lam) + charfn.autocorr_transform_star(spec, lam)
-        rhs = charfn.fourier_transform(spec, lam) * charfn.fourier_transform_star(spec, lam)
-        assert np.array_equal(got, np.abs(lhs - rhs))
 
 
 def test_oracle_compare(tmp_path, const_op_file):
@@ -417,6 +409,84 @@ def test_synth_fractional_multiplicity_exits_2(tmp_path):
     assert "malformed spectrum record" in payload["detail"]["message"]
 
 
+def test_forward_nan_window_exits_2(tmp_path, const_op_file):
+    out = tmp_path / "out.json"
+    assert main(["forward", "--input", str(const_op_file), "--window", "nan", "--output", str(out)]) == 2
+    payload = read_json(out)
+    assert payload["error"] == "ValueError"
+    assert payload["detail"]["message"] == "window must be at least 4, got nan"
+
+
+@pytest.mark.parametrize(
+    "window, entry, error, message",
+    [
+        (40.0, {"z": 1.0, "m": True, "tag": "secular"}, "ValueError", "malformed spectrum record"),
+        (40.0, {"z": math.nan, "m": 1, "tag": "secular"}, "MalformedSpectrumError", "non-finite"),
+        (40.0, {"z": math.inf, "m": 1, "tag": "secular"}, "MalformedSpectrumError", "non-finite"),
+        (math.nan, None, "MalformedSpectrumError", "window nan is not finite"),
+        (math.inf, None, "MalformedSpectrumError", "window inf is not finite"),
+    ],
+    ids=["bool-multiplicity", "nan-z", "infinite-z", "nan-window", "infinite-window"],
+)
+def test_synth_malformed_field_exits_2(tmp_path, window, entry, error, message):
+    # json writes the non-finite floats as NaN and Infinity, which it reads back
+    inp = tmp_path / "spec.json"
+    inp.write_text(json.dumps({"window": window, "entries": [entry] if entry else []}))
+    out = tmp_path / "out.json"
+    assert main(["synth", "--input", str(inp), "--output", str(out)]) == 2
+    payload = read_json(out)
+    assert payload["error"] == error
+    assert message in payload["detail"]["message"]
+
+
+_K1 = OperatorSpec(1.0, build_potential(0.5, [(1, 0.6, 0.3)]))
+
+
+def _not_a_spectrum(kind):
+    """The window-40 spectrum of _K1, changed into a record that is no
+    operator's spectrum, although its secular part still interlaces."""
+    record = classify_spectrum(_K1, 40.0).to_dict()
+    entries = record["entries"]
+    if kind == "level-deleted":
+        entries.remove({"z": 16.0, "m": 2, "tag": "unchanged"})
+    elif kind == "last-duplicated":
+        entries.append(dict(entries[-1]))
+    elif kind == "negative-multiplicity":
+        for e in entries:
+            e["m"] = -3
+    else:
+        entries.append({"z": 1e4, "m": 2, "tag": "unchanged"})
+    return record
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("level-deleted", "lists 2 of the 3 levels"),
+        ("last-duplicated", "lists z=36.0 twice"),
+        ("negative-multiplicity", "with multiplicity -3"),
+        ("beyond-window", "z=10000.0 lies beyond the spectrum window 40.0"),
+    ],
+)
+def test_synth_and_inverse_reject_a_record_that_is_no_spectrum(tmp_path, kind, message):
+    record = _not_a_spectrum(kind)
+    w, what = companions(_K1.potential, 1)
+    three = {
+        "base": record,
+        "shifted": classify_spectrum(OperatorSpec(1.0, w), 40.0).to_dict(),
+        "squared": classify_spectrum(OperatorSpec(1.0, what), 40.0).to_dict(),
+        "K": 1,
+    }
+    for cmd, payload in (("synth", record), ("inverse", three)):
+        inp = tmp_path / f"{cmd}.json"
+        inp.write_text(json.dumps(payload))
+        out = tmp_path / f"{cmd}-out.json"
+        assert main([cmd, "--input", str(inp), "--output", str(out)]) == 2
+        got = read_json(out)
+        assert got["error"] == "MalformedSpectrumError"
+        assert message in got["detail"]["message"]
+
+
 @pytest.mark.parametrize(
     "potential, message",
     [
@@ -424,8 +494,18 @@ def test_synth_fractional_multiplicity_exits_2(tmp_path):
         ({"c0": 0.6, "terms": [{"c": 0.64, "s": 0.48}], "K": 1}, "malformed potential record"),
         ({"c0": 0.6, "terms": [{"k": 1.9, "c": 0.64, "s": 0.48}], "K": 1}, "malformed potential record"),
         ({"c0": 0.6, "terms": [{"k": 1, "c": 0.64, "s": 0.48}], "K": 1.7}, "malformed potential record"),
+        # int() would read either as 1
+        ({"c0": 0.6, "terms": [{"k": 1, "c": 0.64, "s": 0.48}], "K": True}, "malformed potential record"),
+        ({"c0": 0.6, "terms": [{"k": "1", "c": 0.64, "s": 0.48}], "K": 1}, "malformed potential record"),
     ],
-    ids=["mismatched-order", "term-without-index", "fractional-index", "fractional-order"],
+    ids=[
+        "mismatched-order",
+        "term-without-index",
+        "fractional-index",
+        "fractional-order",
+        "bool-order",
+        "string-index",
+    ],
 )
 def test_forward_malformed_potential_exits_2(tmp_path, potential, message):
     path = tmp_path / "op.json"

@@ -1,15 +1,18 @@
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankonespec import charfn
 from rankonespec import numerics
-from rankonespec.errors import ConvergenceError, DegenerateOperatorError
+from rankonespec.errors import ConvergenceError, DegenerateOperatorError, MalformedSpectrumError
+from rankonespec.io import dumps_canonical
 from rankonespec.potential import OperatorSpec, build_potential, evaluate
-from rankonespec.recovery import SpectralData, weights_from_spectrum
+from rankonespec.recovery import SpectralData, check_admissibility, weights_from_spectrum
 from rankonespec.spectrum import (
     ClassifiedSpectrum,
     SpectrumClass,
@@ -338,6 +341,137 @@ class TestClassify:
         assert ClassifiedSpectrum.from_dict(cs.to_dict()) == cs
 
 
+# the classes by multiplicity, stated apart from the library's table
+_CLASSES = {
+    "off": {1: "secular"},
+    "zero": {1: "unchanged", 2: "coincident"},
+    "level": {1: "reduced", 2: "unchanged", 3: "coincident"},
+}
+
+
+def _place(z):
+    k = nearest_level(z)
+    if z != level_value(k):
+        return "off"
+    return "zero" if k == 0 else "level"
+
+
+class TestSpectrumRecords:
+    @pytest.mark.parametrize(
+        "z, m, tag",
+        [
+            (-3.5, 1, "secular"),
+            (4.5, 1, "secular"),
+            (4.0 + 4.0 * EPS, 1, "secular"),
+            (0.0, 1, "unchanged"),
+            (0.0, 2, "coincident"),
+            (4.0, 1, "reduced"),
+            (16.0, 2, "unchanged"),
+            (36.0, 3, "coincident"),
+        ],
+    )
+    def test_class_follows_from_z_and_m(self, z, m, tag):
+        assert SpectrumEntry(z, m).tag is SpectrumClass(tag)
+
+    @pytest.mark.parametrize(
+        "z, m",
+        [(4.5, 2), (-1.0, 0), (0.0, 3), (4.0, 4), (16.0, -3), (math.nan, 1), (math.inf, 1)],
+    )
+    def test_no_class_rejected(self, z, m):
+        with pytest.raises(MalformedSpectrumError):
+            SpectrumEntry(z, m)
+
+    def test_stored_tag_must_match(self):
+        with pytest.raises(MalformedSpectrumError, match="reduced, not secular"):
+            SpectrumEntry.from_dict({"z": 4.0, "m": 1, "tag": "secular"})
+
+    @pytest.mark.parametrize(
+        "window, entries, message",
+        [
+            (math.nan, [], "not finite"),
+            (math.inf, [], "not finite"),
+            (20.0, [(4.0, 2), (16.0, 2), (4.0, 2)], "z=4.0 twice"),
+            (20.0, [(4.0, 2), (16.0, 2), (36.0, 2)], "beyond the spectrum window"),
+            (20.0, [(4.0, 2)], "1 of the 2 levels"),
+            # a window of 1e30 spans 5e14 levels: counted, never listed
+            (1e30, [(4.0, 2)], "1 of the 500000000000000 levels"),
+        ],
+    )
+    def test_incomplete_or_overfull_spectrum_rejected(self, window, entries, message):
+        with pytest.raises(MalformedSpectrumError, match=message):
+            ClassifiedSpectrum(tuple(SpectrumEntry(z, m) for z, m in entries), window)
+
+
+@st.composite
+def _classified(draw):
+    """classify_spectrum on a sparse operator up to a window that holds every
+    secular root: K <= 6, coefficients down to 1e-7, and in about every third
+    draw a coupling that puts a secular root on an inactive level (a
+    coincident entry)."""
+    order = draw(st.integers(1, 6))
+    levels = sorted(draw(st.sets(st.integers(0, order), min_size=1)) | {order})
+    mag = st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e)
+    c0 = draw(mag) if 0 in levels else 0.0
+    pot = build_potential(c0, [(k, draw(mag), draw(mag)) for k in levels if k > 0])
+    alpha = draw(st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)) * draw(st.sampled_from([-1.0, 1.0]))
+    inactive = [j for j in range(order + 2) if j not in levels]
+    if inactive and draw(st.integers(0, 2)) == 0:
+        # q(4j^2) = 0: 1 + alpha * sum_k n_k / (4k^2 - 4j^2) vanishes
+        j = draw(st.sampled_from(inactive))
+        tilt = sum(n / (level_value(k) - level_value(j)) for k, n in pot.level_norms().items() if n)
+        assume(tilt != 0.0)
+        alpha = -1.0 / tilt
+    # the exterior root of a positive coupling lies below the top pole plus
+    # alpha ||v||^2; a window beyond it holds every secular root
+    reach = max(alpha, 0.0) * pot.norm_sq
+    assume(reach < 1e4)
+    window = level_value(order + 1) + reach + draw(st.floats(0.0, 30.0))
+    op = OperatorSpec(alpha, pot)
+    assume(weight_table(op).active)
+    return classify_spectrum(op, window).to_dict()
+
+
+def _verdict(record):
+    """None when the record is admissible spectral data, else the reason."""
+    try:
+        cs = ClassifiedSpectrum.from_dict(record)
+    except MalformedSpectrumError as exc:
+        return str(exc)
+    report = check_admissibility(SpectralData.from_classified(cs))
+    return None if report.accepted else report.detail
+
+
+@settings(max_examples=40, deadline=None)
+@given(record=_classified(), data=st.data())
+def test_classified_records_round_trip_and_mutants_are_rejected(record, data):
+    text = dumps_canonical(record)
+    assert dumps_canonical(ClassifiedSpectrum.from_dict(json.loads(text)).to_dict()) == text
+    assert _verdict(record) is None
+    entries = record["entries"]
+    for e in entries:
+        assert e["tag"] == _CLASSES[_place(e["z"])][e["m"]]
+    i = data.draw(st.integers(0, len(entries) - 1))
+
+    def mutant(change):
+        out = copy.deepcopy(record)
+        change(out["entries"])
+        return out
+
+    assert _verdict(mutant(lambda es: es.pop(i))) is not None
+    assert _verdict(mutant(lambda es: es.append(dict(es[i])))) is not None
+    classes = _CLASSES[_place(entries[i]["z"])]
+    m = data.draw(st.sampled_from([m for m in range(-3, 6) if m not in classes]))
+    assert _verdict(mutant(lambda es: es[i].update(m=m))) is not None
+    secular = [e for e in entries if e["tag"] == "secular"]
+    if secular:
+        z = data.draw(st.sampled_from(secular))["z"]
+        level = level_value(max(1, nearest_level(z)))
+        for tag in ("secular", "reduced"):
+            moved = mutant(lambda es: es[[e["z"] for e in es].index(z)].update(z=level, tag=tag))
+            with pytest.raises(MalformedSpectrumError):
+                ClassifiedSpectrum.from_dict(moved)
+
+
 def stencil_residual(op, entry, u, z):
     """max |  -u'' + alpha <u,v> v - z u | with a 5-point second derivative."""
     h = PI / 2000.0
@@ -488,14 +622,14 @@ class TestEigenfunctionRejection:
     def test_foreign_secular_entry_rejected(self):
         op = OperatorSpec(1.0, CONST)
         from rankonespec.spectrum import SpectrumEntry
-        bogus = SpectrumEntry(z=2.5, multiplicity=1, tag=SpectrumClass.SECULAR)
+        bogus = SpectrumEntry(z=2.5, multiplicity=1)
         with pytest.raises(ValueError, match="secular"):
             eigenfunctions(op, bogus)
 
     def test_active_level_cannot_be_unchanged(self):
         op = OperatorSpec(0.5, COS2)
         from rankonespec.spectrum import SpectrumEntry
-        bogus = SpectrumEntry(z=4.0, multiplicity=2, tag=SpectrumClass.UNCHANGED)
+        bogus = SpectrumEntry(z=4.0, multiplicity=2)
         with pytest.raises(ValueError):
             eigenfunctions(op, bogus)
 
@@ -509,11 +643,14 @@ class TestEigenfunctionRejection:
         assert len(fns) == 3
         assert stencil_residual(op, entry, fns[-1], 4.0) < 1e-7
 
-    def test_entry_on_an_active_pole_rejected(self):
+    def test_entry_on_an_active_pole_is_the_reduced_eigenvalue(self):
+        # a simple entry on the lattice is the reduced level: a secular
+        # entry cannot sit on a pole
         op = OperatorSpec(0.5, COS2)
-        bogus = SpectrumEntry(z=4.0, multiplicity=1, tag=SpectrumClass.SECULAR)
-        with pytest.raises(ValueError, match="weight-carrying"):
-            eigenfunctions(op, bogus)
+        entry = SpectrumEntry(z=4.0, multiplicity=1)
+        assert entry.tag is SpectrumClass.REDUCED
+        (u,) = eigenfunctions(op, entry)
+        assert u.kind == "reduced" and u.level == 1
 
     def test_secular_entry_on_a_near_floor_level_rejected(self):
         # z = 4 is a coincident eigenvalue of this operator (see
@@ -521,8 +658,8 @@ class TestEigenfunctionRejection:
         # inactive, its norm below the floor. As a secular entry it is a
         # pole of the eigenfunction's resolvent sum all the same
         op = OperatorSpec(4.0, build_potential(1.0, [(1, 3e-8, 0.0)]))
-        bogus = SpectrumEntry(z=4.0, multiplicity=1, tag=SpectrumClass.SECULAR)
-        with pytest.raises(ValueError, match="weight-carrying"):
+        bogus = SpectrumEntry(z=4.0, multiplicity=1)
+        with pytest.raises(ValueError, match="not a reduced level"):
             eigenfunctions(op, bogus)
 
     def test_every_classified_entry_accepted(self):
@@ -545,7 +682,7 @@ class TestEigenfunctionRejection:
                 checked += 1
                 if entry.tag is SpectrumClass.SECULAR:
                     # and the bound is not loose: 1e-7 relative off is foreign
-                    off = SpectrumEntry(entry.z + 1e-7 * max(1.0, abs(entry.z)), 1, entry.tag)
+                    off = SpectrumEntry(entry.z + 1e-7 * max(1.0, abs(entry.z)), 1)
                     with pytest.raises(ValueError, match="secular"):
                         eigenfunctions(op, off)
                     moved += 1
@@ -554,6 +691,6 @@ class TestEigenfunctionRejection:
     def test_inactive_level_cannot_be_reduced(self):
         op = OperatorSpec(0.5, COS2)
         from rankonespec.spectrum import SpectrumEntry
-        bogus = SpectrumEntry(z=16.0, multiplicity=1, tag=SpectrumClass.REDUCED)
+        bogus = SpectrumEntry(z=16.0, multiplicity=1)
         with pytest.raises(ValueError):
             eigenfunctions(op, bogus)
