@@ -1,7 +1,7 @@
 """Independent ground truth: dense Galerkin truncation of the operator in its
 own eigenbasis with an in-house cyclic Jacobi eigensolver, plus a grid scan
 for zeros of the characteristic function, whose brackets are all refined
-together by Newton steps on its complex-step derivative.
+together by bisection on its sign.
 
 In the working basis the operator is exactly diagonal-plus-rank-one, and for
 a finite-order potential every basis level above the potential order
@@ -20,16 +20,8 @@ from . import charfn
 from .errors import ConvergenceError
 from .potential import OperatorSpec
 
-LATTICE_GUARD = 1e-3  # scan exclusion radius around even integers
 CLUSTER_RADIUS = 1e-6  # eigenvalues closer than this form one cluster
 SCAN_GRID_STEP = 0.01  # spacing of the zero scan's sign-change grid
-# complex step of the zero scan: Re D(x + ih) = D(x) - h^2 D''(x)/2 and
-# Im D(x + ih)/h = D'(x) - h^2 D'''(x)/6. Away from the lattice the kernel's
-# intermediates are O(1) and complex, and their rounding swamps a step of
-# 1e-20; at 1e-8 the h^2 term moves roots near the origin, where D' ~ D'' x,
-# by 1e-13 relative. 1e-10 keeps both below rounding.
-_COMPLEX_STEP = 1e-10
-_SCAN_STEPS = 64  # bisection alone takes a SCAN_GRID_STEP bracket below an ulp in 46
 _EPS = float(np.finfo(float).eps)
 
 
@@ -163,25 +155,26 @@ def oracle_spectrum(op: OperatorSpec, n: int) -> list[tuple[float, int]]:
 
 def scan_char_zeros(op: OperatorSpec, lambda_max: float) -> list[float]:
     """Positive real zeros of the perturbed characteristic function located
-    by sign changes on a uniform grid over (0, lambda_max].
+    by sign changes on a uniform grid over [sqrt(eps), lambda_max].
 
-    The LATTICE_GUARD neighborhoods of the even-integer lattice are
-    skipped: the unperturbed function has double zeros there and sign
-    changes cannot resolve them (the secular path owns those points). Grid
-    nodes inside a neighborhood give way to nodes on its two edges, and only
-    the cell between those edges is dropped, so every root farther than the
-    guard from the lattice is bracketed. All brackets are refined together
-    by Newton steps on the complex-step derivative: one evaluation at
-    x + ih gives D(x) as its real part and D'(x) as its imaginary part over
-    h. A step that leaves its bracket becomes a bisection, and the sign of D
-    keeps every bracket current.
+    D is formed from the exact offset of lambda from the even-integer
+    lattice, so its sign is right up to one ulp of every lattice point 2p.
+    Each 2p gives way to its two neighbouring floats, and only the one-ulp
+    cell between them is dropped: there the unperturbed function has a
+    double zero and D the simple zero of the reduced eigenvalue, which the
+    secular path owns. A root one ulp or more from 2p is bracketed, so a
+    secular root that coincides with an inactive level to within an ulp is
+    not returned. Below sqrt(eps) D's lambda^2 term sinks under its rounding
+    when level 0 is inactive, so the grid opens there. All brackets are
+    refined together by bisection on the sign of D, each to 4 eps of its
+    midpoint.
     """
     grid = np.arange(SCAN_GRID_STEP, lambda_max + SCAN_GRID_STEP / 2.0, SCAN_GRID_STEP)
-    off_lattice = np.abs(grid - 2.0 * np.round(grid / 2.0)) >= LATTICE_GUARD
-    lattice = 2.0 * np.arange(math.floor(lambda_max / 2.0 + LATTICE_GUARD) + 1)
-    edges = np.concatenate((lattice - LATTICE_GUARD, lattice + LATTICE_GUARD))
-    edges = edges[(edges > 0.0) & (edges <= lambda_max)]
-    grid = np.unique(np.concatenate((grid[off_lattice], edges)))
+    lattice = 2.0 * np.arange(1, math.floor(lambda_max / 2.0) + 1)
+    sides = np.concatenate((np.nextafter(lattice, -np.inf), np.nextafter(lattice, np.inf)))
+    grid = np.unique(np.concatenate((
+        [math.sqrt(_EPS)], grid[grid != 2.0 * np.round(grid / 2.0)], sides[sides <= lambda_max]
+    )))
     values = np.real(charfn.char_perturbed(op, grid))
     # the one cell around each lattice point is the only one whose ends
     # fall in different periods of length 2
@@ -190,29 +183,23 @@ def scan_char_zeros(op: OperatorSpec, lambda_max: float) -> list[float]:
     bracketed = np.flatnonzero(clear & (values[:-1] * values[1:] < 0.0))
     lo, hi = grid[bracketed], grid[bracketed + 1]
     f_lo = values[bracketed]
+    # enough halvings to take every bracket below 4 eps of its lower end, and
+    # one more for the rounding of the midpoints, which adds up to an ulp
+    steps = 1 + math.ceil(math.log2(np.max((hi - lo) / (4.0 * _EPS * lo), initial=1.0)))
     x = 0.5 * (lo + hi)
     live = np.arange(len(x))
-    for _ in range(_SCAN_STEPS):
+    for _ in range(steps):
         if live.size == 0:
             break
         t = x[live]
-        d = charfn.char_perturbed(op, t + 1j * _COMPLEX_STEP)
-        f = d.real
-        slope = d.imag / _COMPLEX_STEP
+        f = np.real(charfn.char_perturbed(op, t))
         same = f * f_lo[live] > 0.0
         lo[live[same]] = t[same]
         hi[live[~same]] = t[~same]
         a, b = lo[live], hi[live]
-        newton = t - f / np.where(slope == 0.0, np.nan, slope)
-        inside = (a < newton) & (newton < b)
-        # converged at a Newton step or a bracket of a few ulp (absolute
-        # near 0): rounding in D can put the one just outside the other
-        tol = 4.0 * _EPS * np.maximum(1.0, t)
-        done = (f == 0.0) | (np.abs(newton - t) <= tol) | (b - a <= tol)
-        x[live] = np.where(inside, newton, np.where(done, t, 0.5 * (a + b)))
+        done = (f == 0.0) | (b - a <= 4.0 * _EPS * t)
+        x[live] = np.where(done, t, 0.5 * (a + b))
         live = live[~done]
-    if live.size:
-        raise ConvergenceError(f"zero scan: {live.size} roots not converged in {_SCAN_STEPS} steps")
     roots = grid[:-1].copy()
     roots[bracketed] = x
     found[bracketed] = True

@@ -38,6 +38,14 @@ def as_int(x) -> int:
     return int(x)
 
 
+def as_float(x) -> float:
+    """float(x) for a float field of a JSON record; TypeError for a bool or a
+    string, which float() would read."""
+    if isinstance(x, (bool, str)):
+        raise TypeError(f"{x!r} is not a number for a float field")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Real potential v(x) = c0/sqrt(pi) + sum_k sqrt(2/pi)(c_k cos 2kx + s_k sin 2kx).
@@ -99,10 +107,10 @@ class PotentialSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "PotentialSpec":
         try:
-            c0 = float(d["c0"])
+            c0 = as_float(d["c0"])
             terms = d["terms"]
             K = as_int(d["K"])
-            pairs = tuple((as_int(t["k"]), float(t["c"]), float(t["s"])) for t in terms)
+            pairs = tuple((as_int(t["k"]), as_float(t["c"]), as_float(t["s"])) for t in terms)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed potential record: {exc}") from exc
         spec = cls(c0=c0, pairs=pairs)
@@ -128,7 +136,7 @@ class OperatorSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "OperatorSpec":
         try:
-            alpha = float(d["alpha"])
+            alpha = as_float(d["alpha"])
             pot = d["potential"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed operator record: {exc}") from exc

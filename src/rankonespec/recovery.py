@@ -151,6 +151,8 @@ class ThreeSpectra:
     order: int
 
     def __post_init__(self):
+        if self.order < 0:
+            raise ValueError(f"reconstruction order must be non-negative, got {self.order}")
         need = 4.0 * (self.order + 1) ** 2
         for name, data in (("base", self.base), ("shifted", self.shifted), ("squared", self.squared)):
             if data.window < need:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateOperatorError, MalformedSpectrumError
 from .numerics import secular_equation_roots, secular_eval
-from .potential import OperatorSpec, PotentialSpec, as_int, build_potential, evaluate
+from .potential import OperatorSpec, PotentialSpec, as_float, as_int, build_potential, evaluate
 
 WEIGHT_FLOOR = 1e-13
 COINCIDENCE_TOL = 1e-9
@@ -90,7 +90,7 @@ class SpectrumEntry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpectrumEntry":
-        entry = cls(z=float(d["z"]), multiplicity=as_int(d["m"]))
+        entry = cls(z=as_float(d["z"]), multiplicity=as_int(d["m"]))
         if SpectrumClass(d["tag"]) is not entry.tag:
             got = f"z={entry.z}, m={entry.multiplicity} is {entry.tag.value}"
             raise MalformedSpectrumError(f"{got}, not {d['tag']}")
@@ -130,7 +130,7 @@ class ClassifiedSpectrum:
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifiedSpectrum":
         try:
-            window = float(d["window"])
+            window = as_float(d["window"])
             entries = tuple(SpectrumEntry.from_dict(e) for e in d["entries"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed spectrum record: {exc}") from exc

@@ -421,12 +421,15 @@ def test_forward_nan_window_exits_2(tmp_path, const_op_file):
     "window, entry, error, message",
     [
         (40.0, {"z": 1.0, "m": True, "tag": "secular"}, "ValueError", "malformed spectrum record"),
+        # float() would read either
+        (40.0, {"z": "1.0", "m": 1, "tag": "secular"}, "ValueError", "malformed spectrum record"),
+        ("40", None, "ValueError", "malformed spectrum record"),
         (40.0, {"z": math.nan, "m": 1, "tag": "secular"}, "MalformedSpectrumError", "non-finite"),
         (40.0, {"z": math.inf, "m": 1, "tag": "secular"}, "MalformedSpectrumError", "non-finite"),
         (math.nan, None, "MalformedSpectrumError", "window nan is not finite"),
         (math.inf, None, "MalformedSpectrumError", "window inf is not finite"),
     ],
-    ids=["bool-multiplicity", "nan-z", "infinite-z", "nan-window", "infinite-window"],
+    ids=["bool-multiplicity", "string-z", "string-window", "nan-z", "infinite-z", "nan-window", "infinite-window"],
 )
 def test_synth_malformed_field_exits_2(tmp_path, window, entry, error, message):
     # json writes the non-finite floats as NaN and Infinity, which it reads back
@@ -515,6 +518,40 @@ def test_forward_malformed_potential_exits_2(tmp_path, potential, message):
     payload = read_json(out)
     assert payload["error"] == "ValueError"
     assert message in payload["detail"]["message"]
+
+
+@pytest.mark.parametrize(
+    "alpha, c0, c, s",
+    [(True, 0.5, 0.6, 0.3), (1.0, "0.5", 0.6, 0.3), (1.0, 0.5, "0.6", 0.3), (1.0, 0.5, 0.6, True)],
+    ids=["bool-alpha", "string-c0", "string-c", "bool-s"],
+)
+def test_forward_bool_or_string_float_exits_2(tmp_path, alpha, c0, c, s):
+    # float() would read True as 1.0 and "0.5" as 0.5
+    record = {"alpha": alpha, "potential": {"c0": c0, "terms": [{"k": 1, "c": c, "s": s}], "K": 1}}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(record))
+    out = tmp_path / "out.json"
+    assert main(["forward", "--input", str(path), "--window", "40", "--output", str(out)]) == 2
+    payload = read_json(out)
+    assert payload["error"] == "ValueError"
+    assert "malformed" in payload["detail"]["message"]
+
+
+def test_inverse_negative_order_exits_2(tmp_path):
+    v = build_potential(0.6, [(1, 0.64, 0.48), (2, 0.3, -0.2)], normalize=True)
+    w, what = companions(v, 2)
+    record = {
+        name: classify_spectrum(OperatorSpec(1.0, p), 36.0).to_dict()
+        for name, p in (("base", v), ("shifted", w), ("squared", what))
+    }
+    for K, extra in ((-1, []), (2, ["--order", "-1"])):
+        inp = tmp_path / "three.json"
+        inp.write_text(dumps_canonical({**record, "K": K}))
+        out = tmp_path / "rec.json"
+        assert main(["inverse", "--input", str(inp), "--output", str(out), *extra]) == 2
+        payload = read_json(out)
+        assert payload["error"] == "ValueError"
+        assert payload["detail"]["message"] == "reconstruction order must be non-negative, got -1"
 
 
 _OPTION_VALUES = {"--window": ["40"], "--order": ["3"], "--truncation": ["20"], "--emit-plot": []}

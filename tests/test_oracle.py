@@ -294,6 +294,41 @@ class TestOracleSpectrum:
         assert cluster_eigenvalues(vals) == [(pytest.approx(1.0), 2), (2.0, 1)]
 
 
+def positive_secular(op, lambda_max):
+    """The solver's positive secular and coincident eigenvalues z up to
+    lambda_max^2, ascending."""
+    entries = classify_spectrum(op, lambda_max ** 2).entries
+    return np.array([e.z for e in entries if e.tag.value in ("secular", "coincident") and e.z > 0.0])
+
+
+def unit_norm_operator(rng, levels, alpha):
+    """alpha and a unit-norm potential with random coefficients on the given
+    ascending levels."""
+    c = rng.standard_normal((len(levels), 2))
+    c0 = float(c[0, 0]) if levels[0] == 0 else 0.0
+    pairs = [(k, *map(float, row)) for k, row in zip(levels, c) if k]
+    return OperatorSpec(alpha, build_potential(c0, pairs, normalize=True))
+
+
+def root_next_to_level_three(d):
+    """alpha = 1 and levels 1 and 5 only, weighted so that the secular
+    function has its root at z = 36 + d, next to the inactive level 3."""
+    z = 36.0 + d
+    x5 = -(1.0 + 40.0 / (4.0 - z)) * (100.0 - z)
+    return OperatorSpec(1.0, build_potential(0.0, [(1, math.sqrt(40.0), 0.0), (5, math.sqrt(x5), 0.0)]))
+
+
+def scan_node_count(lambda_max):
+    """Nodes of the scan grid: the SCAN_GRID_STEP nodes off the lattice, the
+    two neighbouring floats of every lattice point 2p up to lambda_max, and
+    sqrt(eps)."""
+    step = oracle.SCAN_GRID_STEP
+    lattice = {2.0 * p for p in range(1, math.floor(lambda_max / 2.0) + 1)}
+    sides = {math.nextafter(x, s) for x in lattice for s in (-math.inf, math.inf)}
+    grid = set(np.arange(step, lambda_max + step / 2.0, step).tolist()) - lattice
+    return len(grid | {x for x in sides if x <= lambda_max} | {math.sqrt(np.finfo(float).eps)})
+
+
 class TestScan:
     def test_constant_unit_coupling(self):
         roots = scan_char_zeros(OperatorSpec(1.0, CONST), 3.0)
@@ -306,26 +341,17 @@ class TestScan:
         assert roots[0] == pytest.approx(math.sqrt(4.5), abs=1e-9)
 
     def test_unperturbed_scan_is_empty(self):
-        # all unperturbed zeros sit on the excluded lattice
+        # all unperturbed zeros sit on the lattice, in the dropped one-ulp cells
         assert scan_char_zeros(OperatorSpec(0.0, CONST), 5.0) == []
 
     def test_matches_secular_entries(self, rng):
         # squared scan roots equal the positive secular eigenvalues
         for _ in range(3):
             op = random_operator(rng, max_order=3)
-            cs = classify_spectrum(op, 100.0)
-            secular = sorted(
-                e.z
-                for e in cs.entries
-                if e.tag.value in ("secular", "coincident") and e.z > 0
-            )
-            # scan excludes lattice neighborhoods; drop coincident values
-            off_lattice = [
-                z for z in secular if abs(math.sqrt(z) / 2 - round(math.sqrt(z) / 2)) * 2 > 1e-3
-            ]
-            scanned = scan_char_zeros(op, math.sqrt(100.0))
-            assert len(scanned) == len(off_lattice)
-            for got, want in zip(sorted(z * z for z in scanned), off_lattice):
+            secular = positive_secular(op, 10.0)
+            scanned = scan_char_zeros(op, 10.0)
+            assert len(scanned) == len(secular)
+            for got, want in zip(sorted(z * z for z in scanned), secular):
                 assert got == pytest.approx(want, abs=1e-8)
 
     def test_refinement_is_batched(self, rng, monkeypatch):
@@ -339,21 +365,21 @@ class TestScan:
             return transforms(spec, lam, *args)
 
         monkeypatch.setattr(charfn, "_transforms", counted)
-        # grid nodes: every lattice node 2p gives way to 2p -+ LATTICE_GUARD
-        # (within lambda_max), and 0 + LATTICE_GUARD opens the grid
-        for op, lambda_max, nodes in (
-            (OperatorSpec(1.0, CONST), 3.0, 300 - 1 + 3),
-            (random_operator(rng, max_order=16), 20.0, 2000 - 10 + 20),
-        ):
+        # the widest bracket relative to its lower end is the first cell,
+        # [sqrt(eps), SCAN_GRID_STEP]; one step more for midpoint rounding
+        eps = np.finfo(float).eps
+        cap = 1 + math.ceil(math.log2(oracle.SCAN_GRID_STEP / (4.0 * eps * math.sqrt(eps))))
+        assert cap == 71
+        for op, lambda_max in ((OperatorSpec(1.0, CONST), 3.0), (random_operator(rng, max_order=16), 20.0)):
             sizes.clear()
             roots = scan_char_zeros(op, lambda_max)
-            assert sizes[0] == nodes
-            assert 1 <= len(sizes) - 1 <= oracle._SCAN_STEPS
+            assert sizes[0] == scan_node_count(lambda_max)
+            assert 1 <= len(sizes) - 1 <= cap
             assert max(sizes[1:]) <= len(roots)
 
     def test_steep_root_next_to_lattice(self):
-        # the secular root z = 4.0133 sits 3.3e-3 above lambda = 2, just
-        # outside the lattice guard, where D is steep
+        # the secular root z = 4.0133 sits 3.3e-3 above lambda = 2, in the
+        # grid cell next to the lattice, where D is steep
         op = OperatorSpec(1.0, build_potential(1.0, [(1, 0.1, 0.0)], normalize=False))
         z = next(e.z for e in classify_spectrum(op, 9.0).entries if 4.0 < e.z < 9.0)
         assert 1e-3 < math.sqrt(z) - 2.0 < 1e-2
@@ -362,23 +388,40 @@ class TestScan:
         assert near[0] ** 2 == pytest.approx(z, rel=1e-12)
 
     def test_roots_match_secular_solver(self, rng):
-        # every scanned root squared is a secular root to rounding, and every
-        # positive secular root farther than the guard from the lattice is
-        # scanned
+        # the scan returns every positive secular root, however close to the
+        # lattice, and nothing else
         for _ in range(10):
             op = random_operator(rng, max_order=16)
             lambda_max = 2.0 * op.potential.K + 3.0
-            secular = np.array(
-                [
-                    e.z
-                    for e in classify_spectrum(op, lambda_max ** 2).entries
-                    if e.tag.value in ("secular", "coincident") and e.z > 0.0
-                ]
-            )
-            scanned = [x * x for x in scan_char_zeros(op, lambda_max)]
-            for z in scanned:
-                assert np.min(np.abs(secular - z)) <= 1e-12 * z
-            lam = np.sqrt(secular)
-            clear = np.abs(lam - 2.0 * np.round(lam / 2.0)) > oracle.LATTICE_GUARD
-            for z in secular[clear]:
-                assert any(abs(s - z) <= 1e-12 * z for s in scanned)
+            secular = positive_secular(op, lambda_max)
+            scanned = np.sort(np.square(scan_char_zeros(op, lambda_max)))
+            assert len(scanned) == len(secular)
+            assert np.all(np.abs(scanned - secular) <= 1e-12 * np.maximum(1.0, secular))
+
+    @pytest.mark.parametrize("levels", [range(129), (0, 17, 250, 512)], ids=["dense-128", "sparse-512"])
+    def test_matches_secular_solver_at_high_order(self, rng, levels):
+        # at these orders most roots lie within 1e-3 of the lattice
+        op = unit_norm_operator(rng, levels, 1.3)
+        lambda_max = 2.0 * op.potential.K + 3.0
+        secular = np.sqrt(positive_secular(op, lambda_max))
+        scanned = np.array(scan_char_zeros(op, lambda_max))
+        assert len(scanned) == len(secular)
+        assert np.all(np.abs(scanned - secular) <= 1e-13 * secular)
+
+    @pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9, -1e-6])
+    def test_root_next_to_an_inactive_level(self, d):
+        roots = scan_char_zeros(root_next_to_level_three(d), 7.0)
+        assert len(roots) == 1
+        assert (roots[0] - 6.0) * d > 0.0
+        assert roots[0] ** 2 == pytest.approx(36.0 + d, abs=1e-12)
+
+    def test_exact_coincidence_is_not_returned(self):
+        # at d = 0 the root sits on 6 itself, inside the dropped one-ulp cell:
+        # the scan's documented limit
+        assert scan_char_zeros(root_next_to_level_three(0.0), 7.0) == []
+
+    def test_root_near_zero(self):
+        # q(z) = 1 - alpha / z on the constant potential: z = alpha
+        roots = scan_char_zeros(OperatorSpec(1e-10, CONST), 3.0)
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(1e-5, rel=1e-12)
