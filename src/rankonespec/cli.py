@@ -104,7 +104,7 @@ def _cmd_oracle_compare(args) -> int:
     window = args.window if args.window is not None else max(
         40.0, _default_window(op.potential.K)
     )
-    report = diagnostics.oracle_comparison(op, window, n=args.truncation)
+    report = diagnostics.oracle_comparison(op, window)
     _emit(args, report)
     return 0 if report["passed"] else 1
 
@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--window": dict(type=float, help="spectral window"),
         "--order": dict(type=int, help="reconstruction order override"),
-        "--truncation": dict(type=int, help="oracle truncation level"),
         "--emit-plot": dict(action="store_true", help="write CSV plot samples next to the output"),
     }
     # each subcommand takes only the options its handler reads
@@ -131,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         "inverse": ("--order",),
         "synth": (),
         "validate": ("--emit-plot",),
-        "oracle-compare": ("--window", "--truncation"),
+        "oracle-compare": ("--window",),
     }
     specs = {
         "forward": ("_cmd_forward", "compute and classify the spectrum of an operator"),

@@ -4,13 +4,12 @@ These back the CLI's validate and oracle-compare subcommands and double as
 the plumbing the acceptance tests drive: residuals of the secular
 factorization (perturbed = secular-function times unperturbed), of the
 autocorrelation identity, and side-by-side eigenvalue tables against the
-matrix-truncation oracle.
+matrix oracle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -73,7 +72,7 @@ def char_samples(op: OperatorSpec, lam_max: float):
     return list(zip(grid.tolist(), d.tolist()))
 
 
-def oracle_comparison(op: OperatorSpec, window: float, n: Optional[int] = None) -> dict:
+def oracle_comparison(op: OperatorSpec, window: float) -> dict:
     """Side-by-side table of classified vs oracle eigenvalues up to window.
 
     The oracle merges eigenvalues closer than oracle.CLUSTER_RADIUS into
@@ -86,16 +85,13 @@ def oracle_comparison(op: OperatorSpec, window: float, n: Optional[int] = None) 
     row's z_oracle is its matched eigenvalue farthest from z_solver, and
     the report passes when every deviation is within ORACLE_TOL.
 
-    Raises ValueError when the truncation n leaves out a level inside the
-    window, i.e. when the first level above it, 4(n+1)^2, is at most window:
-    the oracle would miss eigenvalues the solver reports.
+    The oracle holds every level up to the first one past the window, so a
+    cluster at the window's edge holds what any larger truncation would
+    give it.
     """
-    if n is None:
-        n = max(op.potential.K + 8, int(math.ceil(2.0 * math.sqrt(max(window, 4.0)))) + 16)
-    if 4 * (n + 1) ** 2 <= window:
-        raise ValueError(f"truncation {n} does not reach the window {window}")
     solver = [(e.z, e.multiplicity) for e in classify_spectrum(op, window).entries]
-    values = oracle.jacobi_eigenvalues(oracle.truncated_matrix(op, n))
+    n = max(op.potential.K, math.floor(math.sqrt(window) / 2.0) + 1)
+    values = oracle.oracle_eigenvalues(op, n)
     clusters = oracle.cluster_eigenvalues(values)
     ends = np.cumsum([m for _, m in clusters])
     truth = [
@@ -123,7 +119,6 @@ def oracle_comparison(op: OperatorSpec, window: float, n: Optional[int] = None) 
             max_dev = max(max_dev, dev)
             rows.append({"z_solver": zs, "m_solver": ms, "z_oracle": zo, "m_oracle": mo, "deviation": dev})
     return {
-        "truncation": n,
         "max_deviation": max_dev,
         "entries": rows,
         "passed": bool(structure_ok and max_dev <= ORACLE_TOL),

@@ -1,13 +1,14 @@
-"""Independent ground truth: dense Galerkin truncation of the operator in its
-own eigenbasis with an in-house cyclic Jacobi eigensolver, plus a grid scan
-for zeros of the characteristic function, whose brackets are all refined
-together by bisection on its sign.
+"""Independent ground truth: the operator in its own eigenbasis, solved with
+an in-house cyclic Jacobi eigensolver, plus a grid scan for zeros of the
+characteristic function, whose brackets are all refined together by
+bisection on its sign.
 
-In the working basis the operator is exactly diagonal-plus-rank-one, and for
-a finite-order potential every basis level above the potential order
-decouples, so the truncation itself introduces no error. Keeping the
-eigensolver in-house keeps this module independent of the secular path it
-cross-checks.
+In the working basis the operator is exactly diag(0, 4, 4, 16, 16, ...) +
+alpha u u^T, with u the potential's coefficients. A basis row where u is
+zero is already an eigenvalue, its level 4k^2, so only the block of rows
+the potential touches (at most 2K+1 of them) is swept, and the other levels
+are listed. Keeping the eigensolver in-house keeps this module independent
+of the secular path it cross-checks.
 """
 
 from __future__ import annotations
@@ -25,83 +26,61 @@ SCAN_GRID_STEP = 0.01  # spacing of the zero scan's sign-change grid
 _EPS = float(np.finfo(float).eps)
 
 
-def truncated_matrix(op: OperatorSpec, n: int) -> np.ndarray:
-    """Dense symmetric matrix of the Galerkin truncation onto the first
-    2n+1 basis functions: diag(0, 4, 4, 16, 16, ...) + alpha u u^T, with u
-    the potential's coefficients in the same ordering.
-
-    Truncation is exact as long as n covers the potential order (higher
-    levels decouple); callers normally keep a margin of 8 on top to make the
-    decoupling itself a testable claim. Raises ValueError when n is below
-    the potential order.
-    """
-    if n < op.potential.K:
-        raise ValueError("truncation level does not cover the potential order")
-    dim = 2 * n + 1
-    diag = np.zeros(dim)
-    k = np.arange(1, n + 1)
-    diag[1::2] = diag[2::2] = 4.0 * k * k
-    u = np.zeros(dim)
-    u[0] = op.potential.c0
-    levels = np.array(op.potential.pairs, dtype=float).reshape(-1, 3)
+def coupled_block(op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The basis rows the potential touches and the operator's matrix on
+    them: rows 0, 2k-1 and 2k (for c0, c_k and s_k) where the coefficient is
+    nonzero, ascending, and diag(0, 4, 4, 16, 16, ...) + alpha u u^T
+    restricted to those rows. Its entries are formed as alpha * (u_i u_j),
+    then the diagonal added, so they are bit for bit those of the whole
+    matrix on any number of basis functions."""
+    pot = op.potential
+    u = np.zeros(2 * pot.K + 1)
+    u[0] = pot.c0
+    levels = np.array(pot.pairs, dtype=float).reshape(-1, 3)
     k = levels[:, 0].astype(int)
     u[2 * k - 1] = levels[:, 1]
     u[2 * k] = levels[:, 2]
-    # alpha * u u^T + diag in place, two matrix-sized temporaries fewer;
-    # IEEE addition commutes, so the bits are those of diag + alpha * u u^T
-    m = np.outer(u, u)
+    rows = np.flatnonzero(u)
+    k = (rows + 1) // 2
+    m = np.outer(u[rows], u[rows])
     m *= op.alpha
-    m += np.diag(diag)
-    return m
+    m += np.diag(4.0 * k * k)
+    return rows, m
 
 
 def jacobi_eigenvalues(
     a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
 ) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, sorted.
 
-    A row and column with no nonzero off-diagonal entry already hold an
-    eigenvalue on the diagonal and are deflated: the sweeps run on the block
-    of the coupled rows only. This is exact, not an approximation. Every
-    pair that touches an uncoupled row is zero and would be skipped, and a
-    rotation of two coupled rows leaves the uncoupled entries exactly zero,
-    so the block sees the same rotations, in the same order and arithmetic,
-    as the full matrix would. Sweeps rotate away every off-diagonal pair
-    until the off-diagonal Frobenius norm drops below tol; raises
-    ConvergenceError after max_sweeps.
+    Sweeps rotate away every off-diagonal pair until the off-diagonal
+    Frobenius norm drops below tol; raises ConvergenceError after
+    max_sweeps. A pair that is zero is skipped, and a rotation leaves zero
+    the entries of rows it does not couple, so a row that touches nothing
+    keeps its diagonal entry exactly.
 
-    The block is held as rows of Python floats and each rotation is scalar
+    The matrix is held as rows of Python floats and each rotation is scalar
     arithmetic: every entry sees the same IEEE operations, in the same
     order, as the row and column updates of a numpy array, so the result is
     bit for bit that of the array sweep, without a dozen numpy calls per
-    rotation. Above about 65 coupled rows the scalar loop is the slower of
+    rotation. Above about 65 rows the scalar loop is the slower of
     the two. Raises ValueError on a non-finite or asymmetric matrix.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    d = np.diag(a).copy()
-    # a nonzero in its row or its column couples an index: symmetry is
-    # only checked to 1e-12, and the sweep reads the upper triangle
-    touched = a != 0.0
-    np.fill_diagonal(touched, False)
-    coupled = np.flatnonzero(np.any(touched, axis=0) | np.any(touched, axis=1))
-    block = a[np.ix_(coupled, coupled)]
-    # off the diagonal and the block every entry and its mirror are zero,
-    # so only those two can be non-finite or asymmetric
-    if not (np.isfinite(d).all() and np.isfinite(block).all()):
+    if not np.isfinite(a).all():
         raise ValueError("matrix must be finite")
-    if not (np.abs(block - block.T) <= 1e-12).all():
+    if not (np.abs(a - a.T) <= 1e-12).all():
         raise ValueError("matrix must be symmetric")
-    dim = coupled.size
-    rows = block.tolist()
+    dim = len(a)
+    rows = a.tolist()
     off_mask = ~np.eye(dim, dtype=bool)
     for _ in range(max_sweeps):
-        block = np.array(rows).reshape(dim, dim)
-        off = math.sqrt(float(np.sum(block[off_mask] ** 2)))
+        a = np.array(rows).reshape(dim, dim)
+        off = math.sqrt(float(np.sum(a[off_mask] ** 2)))
         if off <= tol:
-            d[coupled] = np.diag(block)
-            return np.sort(d)
+            return np.sort(np.diag(a))
         for p in range(dim - 1):
             for q in range(p + 1, dim):
                 row_p, row_q = rows[p], rows[q]
@@ -148,9 +127,26 @@ def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, int]]:
     return list(zip(means.tolist(), counts.tolist()))
 
 
+def oracle_eigenvalues(op: OperatorSpec, n: int) -> np.ndarray:
+    """Sorted eigenvalues of the operator on the first 2n+1 basis functions:
+    those of the coupled block, and each level 4k^2, k <= n, as often as it
+    has rows the potential does not touch. This is exact for every n that
+    covers the potential order (higher levels decouple); raises ValueError
+    when n is below it."""
+    if n < op.potential.K:
+        raise ValueError("truncation level does not cover the potential order")
+    rows, block = coupled_block(op)
+    k = np.arange(n + 1)
+    free = np.full(n + 1, 2)
+    free[0] = 1
+    free -= np.bincount((rows + 1) // 2, minlength=n + 1)
+    return np.sort(np.concatenate((jacobi_eigenvalues(block), np.repeat(4.0 * k * k, free))))
+
+
 def oracle_spectrum(op: OperatorSpec, n: int) -> list[tuple[float, int]]:
-    """Clustered eigenvalues of the truncated matrix."""
-    return cluster_eigenvalues(jacobi_eigenvalues(truncated_matrix(op, n)))
+    """Clustered eigenvalues of the operator on the first 2n+1 basis
+    functions."""
+    return cluster_eigenvalues(oracle_eigenvalues(op, n))
 
 
 def scan_char_zeros(op: OperatorSpec, lambda_max: float) -> list[float]:

@@ -1,9 +1,9 @@
 """The public surface: names exported by the package, the members of
 Eigenfunction, AdmissibilityReport, PotentialSpec, SpectrumEntry and
 SpectralData, the keys of the synth report, the signatures of the
-characteristic-function entry points and of the trimmed recovery and oracle
-functions, and the options of each CLI subcommand. A change here is an API
-change and belongs in CHANGES.md."""
+characteristic-function entry points and of the trimmed recovery, oracle
+and diagnostics functions, and the options of each CLI subcommand. A
+change here is an API change and belongs in CHANGES.md."""
 
 import argparse
 import dataclasses
@@ -12,7 +12,7 @@ import inspect
 import pytest
 
 import rankonespec
-from rankonespec import Eigenfunction, charfn, cli, oracle
+from rankonespec import Eigenfunction, charfn, cli, diagnostics, oracle
 
 PUBLIC_NAMES = [
     "AdmissibilityReport",
@@ -119,11 +119,14 @@ def test_spectral_data_fields():
         (rankonespec.weights_from_char_derivative, ["op"]),
         (rankonespec.scan_char_zeros, ["op", "lambda_max"]),
         (oracle.cluster_eigenvalues, ["values"]),
+        (rankonespec.oracle_spectrum, ["op", "n"]),
+        (diagnostics.oracle_comparison, ["op", "window"]),
     ],
 )
 def test_trimmed_signatures(fn, params):
     # the grid spacing, the cluster radius, the level cap and the sign check
-    # each have one value in use, so they are constants, not parameters
+    # each have one value in use, so they are constants, not parameters; the
+    # oracle's truncation follows from the window
     assert list(inspect.signature(fn).parameters) == params
 
 
@@ -132,7 +135,7 @@ CLI_OPTIONS = {
     "inverse": ["--input", "--output", "--order"],
     "synth": ["--input", "--output"],
     "validate": ["--input", "--output", "--emit-plot"],
-    "oracle-compare": ["--input", "--output", "--window", "--truncation"],
+    "oracle-compare": ["--input", "--output", "--window"],
 }
 
 

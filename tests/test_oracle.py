@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rankonespec import charfn, oracle
+from rankonespec import charfn, diagnostics, oracle
 from rankonespec.errors import ConvergenceError
 from rankonespec.oracle import (
     cluster_eigenvalues,
+    coupled_block,
     jacobi_eigenvalues,
     oracle_spectrum,
     scan_char_zeros,
-    truncated_matrix,
 )
 from rankonespec.potential import OperatorSpec, build_potential
 from rankonespec.spectrum import classify_spectrum
@@ -22,8 +22,8 @@ COS2 = build_potential(0.0, [(1, 1.0, 0.0)])
 
 
 def full_matrix_jacobi(a, tol=1e-12, max_sweeps=100):
-    """Reference: the cyclic sweep over every pair of the whole matrix,
-    without deflation."""
+    """Reference: the cyclic sweep over every pair of the whole matrix as
+    numpy row and column updates."""
     a = np.array(a, dtype=float)
     dim = a.shape[0]
     off_mask = ~np.eye(dim, dtype=bool)
@@ -85,12 +85,14 @@ def truncation_cases(seed=7):
 
 
 def truncated_operators(seed=7):
-    """The matrices of truncation_cases(seed)."""
-    return [truncated_matrix(op, n) for op, n in truncation_cases(seed)]
+    """The dense Galerkin matrices of truncation_cases(seed)."""
+    return [truncated_matrix_loop(op, n) for op, n in truncation_cases(seed)]
 
 
 def truncated_matrix_loop(op, n):
-    """Reference: the truncated matrix assembled one level at a time."""
+    """Reference: the dense Galerkin matrix on the first 2n+1 basis
+    functions, diag(0, 4, 4, 16, 16, ...) + alpha u u^T, assembled one
+    level at a time."""
     dim = 2 * n + 1
     diag = np.zeros(dim)
     for k in range(1, n + 1):
@@ -123,7 +125,7 @@ class TestJacobi:
 
     def test_zero_coupling_leaves_diagonal(self):
         op = OperatorSpec(0.0, CONST)
-        a = truncated_matrix(op, 6)
+        a = truncated_matrix_loop(op, 6)
         ev = jacobi_eigenvalues(a)
         assert np.array_equal(ev, np.sort(np.diag(a)))
 
@@ -169,6 +171,9 @@ class TestJacobi:
 
 
 class TestDeflation:
+    """Rows that touch nothing keep their diagonal entry, and the scalar
+    sweep is bit for bit the numpy row and column sweep."""
+
     def test_truncated_operators_bit_identical(self):
         for a in truncated_operators():
             assert np.array_equal(jacobi_eigenvalues(a), full_matrix_jacobi(a))
@@ -235,12 +240,51 @@ class TestDeflation:
                 assert np.max(np.abs(got - want)) <= bound
 
 
+ONE_SIDED = OperatorSpec(1.3, build_potential(0.0, [(2, 0.0, 0.7), (5, 0.3, 0.0)]))
+
+
+def block_cases():
+    """truncation_cases of two seeds, and operators with a one-sided level
+    (c_k or s_k zero), with no level 0, with one touched row and with none."""
+    cases = truncation_cases() + truncation_cases(seed=3)
+    return cases + [
+        (OperatorSpec(0.5, CONST), 6),
+        (OperatorSpec(-2.0, COS2), 1),
+        (ONE_SIDED, 5),
+        (ONE_SIDED, 9),
+        (OperatorSpec(0.0, ONE_SIDED.potential), 7),
+        (OperatorSpec(1.0, build_potential(0.0)), 3),
+    ]
+
+
+def touched_rows(op):
+    """The basis rows of the nonzero coefficients: 0 for c0, 2k-1 for c_k,
+    2k for s_k."""
+    rows = [0] if op.potential.c0 else []
+    for k, c, s in op.potential.pairs:
+        rows += [r for r, x in ((2 * k - 1, c), (2 * k, s)) if x]
+    return sorted(rows)
+
+
 class TestTruncatedOperator:
     def test_matches_level_loop(self):
-        cases = truncation_cases() + truncation_cases(seed=3)
-        cases += [(OperatorSpec(0.5, CONST), 6), (OperatorSpec(-2.0, COS2), 1)]
-        for op, n in cases:
-            assert truncated_matrix(op, n).tobytes() == truncated_matrix_loop(op, n).tobytes()
+        # the block is the dense matrix on the touched rows, bit for bit
+        for op, n in block_cases():
+            rows, block = coupled_block(op)
+            assert rows.tolist() == touched_rows(op)
+            dense = truncated_matrix_loop(op, n)
+            assert block.tobytes() == dense[np.ix_(rows, rows)].tobytes()
+
+    def test_spectrum_matches_dense_truncation(self):
+        # the block's eigenvalues and the listed untouched levels are those
+        # of the whole dense matrix
+        for op, n in block_cases():
+            want = cluster_eigenvalues(full_matrix_jacobi(truncated_matrix_loop(op, n)))
+            assert oracle_spectrum(op, n) == want
+
+    def test_order_not_covered_rejected(self):
+        with pytest.raises(ValueError, match="does not cover"):
+            oracle_spectrum(ONE_SIDED, 4)
 
 
 class TestClusterEigenvalues:
@@ -308,6 +352,28 @@ def unit_norm_operator(rng, levels, alpha):
     c0 = float(c[0, 0]) if levels[0] == 0 else 0.0
     pairs = [(k, *map(float, row)) for k, row in zip(levels, c) if k]
     return OperatorSpec(alpha, build_potential(c0, pairs, normalize=True))
+
+
+def sparse_operator(rng, order):
+    """An audit-style operator: a unit-norm potential on four levels, the
+    order among them, and alpha = +-U(0.25, 5)."""
+    levels = sorted({order, *rng.choice(order, size=3, replace=False).tolist()})
+    alpha = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.25, 5.0))
+    return unit_norm_operator(rng, levels, alpha)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("order", [128, 512])
+def test_sparse_high_order_matches_solver(order, seed):
+    # criterion 1 at the orders the bench aims for: every classified entry
+    # against the oracle cluster of the same rank
+    op = sparse_operator(np.random.default_rng(seed), order)
+    window = 4.0 * (order + 1) ** 2
+    solver = [(e.z, e.multiplicity) for e in classify_spectrum(op, window).entries]
+    truth = [(z, m) for z, m in oracle_spectrum(op, order + 1) if z <= window]
+    assert [m for _, m in solver] == [m for _, m in truth]
+    assert max(abs(zs - zo) for (zs, _), (zo, _) in zip(solver, truth)) <= diagnostics.ORACLE_TOL
+    assert diagnostics.oracle_comparison(op, window)["passed"]
 
 
 def root_next_to_level_three(d):
