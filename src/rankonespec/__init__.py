@@ -20,7 +20,7 @@ from .errors import (
 )
 from .oracle import (
     jacobi_eigenvalues,
-    oracle_spectrum,
+    oracle_eigenvalues,
     scan_char_zeros,
 )
 from .potential import (
@@ -89,7 +89,7 @@ __all__ = [
     "invert_three_spectra",
     "jacobi_eigenvalues",
     "magnitudes_from_two_spectra",
-    "oracle_spectrum",
+    "oracle_eigenvalues",
     "scan_char_zeros",
     "secular_function",
     "secular_roots",

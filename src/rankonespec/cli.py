@@ -30,6 +30,11 @@ def _default_window(order: int) -> float:
     return 4.0 * (order + 1) ** 2
 
 
+def _window(args, op: OperatorSpec) -> float:
+    """--window, else the default window of op's order, and at least 40."""
+    return args.window if args.window is not None else max(40.0, _default_window(op.potential.K))
+
+
 def _emit(args, payload: dict) -> None:
     if args.output:
         io.write_json(args.output, payload)
@@ -45,9 +50,7 @@ def _plot_path(args) -> Path:
 
 def _cmd_forward(args) -> int:
     op = OperatorSpec.from_dict(io.read_json(args.input))
-    window = args.window if args.window is not None else max(
-        40.0, _default_window(op.potential.K)
-    )
+    window = _window(args, op)
     cs = spectrum.classify_spectrum(op, window)
     _emit(args, cs.to_dict())
     if args.emit_plot:
@@ -101,9 +104,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_oracle_compare(args) -> int:
     op = OperatorSpec.from_dict(io.read_json(args.input))
-    window = args.window if args.window is not None else max(
-        40.0, _default_window(op.potential.K)
-    )
+    window = _window(args, op)
     report = diagnostics.oracle_comparison(op, window)
     _emit(args, report)
     return 0 if report["passed"] else 1

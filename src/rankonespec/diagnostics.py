@@ -75,51 +75,38 @@ def char_samples(op: OperatorSpec, lam_max: float):
 def oracle_comparison(op: OperatorSpec, window: float) -> dict:
     """Side-by-side table of classified vs oracle eigenvalues up to window.
 
-    The oracle merges eigenvalues closer than oracle.CLUSTER_RADIUS into
-    one cluster, so solver entries that close are grouped the same way:
-    each group is matched with one oracle cluster and its multiplicities
-    must add up to the cluster's. Inside a group the solver values, each
-    repeated by its multiplicity, are compared in ascending order with the
-    raw oracle eigenvalues of the cluster, not with their mean, so a secular
-    root that close to a reduced level is not charged half their gap. Each
-    row's z_oracle is its matched eigenvalue farthest from z_solver, and
-    the report passes when every deviation is within ORACLE_TOL.
+    The solver's eigenvalues, each repeated by its multiplicity, are matched
+    by rank with the oracle's sorted eigenvalues, so eigenvalues however
+    close are compared one with one. Each row's z_oracle is its matched
+    eigenvalue farthest from z_solver, and its m_oracle the number of oracle
+    eigenvalues within ORACLE_TOL of z_solver. The report passes when every
+    deviation is within ORACLE_TOL and the oracle's next eigenvalue lies
+    above window - ORACLE_TOL, so that the solver missed none.
 
-    The oracle holds every level up to the first one past the window, so a
-    cluster at the window's edge holds what any larger truncation would
-    give it.
+    The oracle holds every level up to the first one past the window, so it
+    always has an eigenvalue beyond the window.
     """
-    solver = [(e.z, e.multiplicity) for e in classify_spectrum(op, window).entries]
+    entries = classify_spectrum(op, window).entries
     n = max(op.potential.K, math.floor(math.sqrt(window) / 2.0) + 1)
     values = oracle.oracle_eigenvalues(op, n)
-    clusters = oracle.cluster_eigenvalues(values)
-    ends = np.cumsum([m for _, m in clusters])
-    truth = [
-        (z, m, values[end - m:end].tolist()) for (z, m), end in zip(clusters, ends) if z <= window
-    ]
-    groups: list[list[tuple[float, int]]] = []
-    for zs, ms in solver:
-        if groups and zs - groups[-1][-1][0] <= oracle.CLUSTER_RADIUS:
-            groups[-1].append((zs, ms))
-        else:
-            groups.append([(zs, ms)])
+    count = sum(e.multiplicity for e in entries)
+    # a solver listing more eigenvalues than the oracle holds fails the
+    # completeness check; its surplus ranks meet the oracle's top eigenvalue
+    truth = values[np.minimum(np.arange(count), values.size - 1)].tolist()
+    zs = np.array([e.z for e in entries])
+    near = np.searchsorted(values, zs + ORACLE_TOL, "right") - np.searchsorted(values, zs - ORACLE_TOL)
     rows = []
-    max_dev = 0.0
-    structure_ok = len(groups) == len(truth)
-    for group, (_, mo, raw) in zip(groups, truth):
-        structure_ok = structure_ok and sum(ms for _, ms in group) == mo
-        start = 0
-        for zs, ms in group:
-            # a group with more entries than the cluster fails the structure
-            # check; its surplus entries meet the cluster's top eigenvalue
-            matched = raw[min(start, mo - 1):start + ms]
-            start += ms
-            zo = max(matched, key=lambda z: abs(zs - z))
-            dev = abs(zs - zo)
-            max_dev = max(max_dev, dev)
-            rows.append({"z_solver": zs, "m_solver": ms, "z_oracle": zo, "m_oracle": mo, "deviation": dev})
+    start = 0
+    for e, mo in zip(entries, near.tolist()):
+        matched = truth[start:start + e.multiplicity]
+        start += e.multiplicity
+        zo = max(matched, key=lambda z: abs(e.z - z))
+        dev = abs(e.z - zo)
+        rows.append({"z_solver": e.z, "m_solver": e.multiplicity, "z_oracle": zo, "m_oracle": mo, "deviation": dev})
+    max_dev = max((row["deviation"] for row in rows), default=0.0)
+    complete = count < values.size and values[count] > window - ORACLE_TOL
     return {
         "max_deviation": max_dev,
         "entries": rows,
-        "passed": bool(structure_ok and max_dev <= ORACLE_TOL),
+        "passed": bool(complete and max_dev <= ORACLE_TOL),
     }

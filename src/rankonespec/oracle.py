@@ -21,7 +21,6 @@ from . import charfn
 from .errors import ConvergenceError
 from .potential import OperatorSpec
 
-CLUSTER_RADIUS = 1e-6  # eigenvalues closer than this form one cluster
 SCAN_GRID_STEP = 0.01  # spacing of the zero scan's sign-change grid
 _EPS = float(np.finfo(float).eps)
 
@@ -110,23 +109,6 @@ def jacobi_eigenvalues(
     raise ConvergenceError(f"Jacobi sweep limit ({max_sweeps}) exceeded")
 
 
-def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, int]]:
-    """Group sorted eigenvalues into (mean, multiplicity) clusters: a new
-    cluster starts wherever two neighbours are more than CLUSTER_RADIUS
-    apart."""
-    vals = np.sort(np.asarray(values, dtype=float))
-    if vals.size == 0:
-        return []
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) > CLUSTER_RADIUS) + 1))
-    counts = np.diff(np.append(starts, vals.size))
-    means = np.add.reduceat(vals, starts) / counts
-    # reduceat sums a0 + (a1 + a2 ...), np.mean (a0 + a1) + a2 ...; keep
-    # np.mean's rounding for the rare clusters where the two can differ
-    for i in np.flatnonzero(counts > 2):
-        means[i] = np.mean(vals[starts[i]:starts[i] + counts[i]])
-    return list(zip(means.tolist(), counts.tolist()))
-
-
 def oracle_eigenvalues(op: OperatorSpec, n: int) -> np.ndarray:
     """Sorted eigenvalues of the operator on the first 2n+1 basis functions:
     those of the coupled block, and each level 4k^2, k <= n, as often as it
@@ -141,12 +123,6 @@ def oracle_eigenvalues(op: OperatorSpec, n: int) -> np.ndarray:
     free[0] = 1
     free -= np.bincount((rows + 1) // 2, minlength=n + 1)
     return np.sort(np.concatenate((jacobi_eigenvalues(block), np.repeat(4.0 * k * k, free))))
-
-
-def oracle_spectrum(op: OperatorSpec, n: int) -> list[tuple[float, int]]:
-    """Clustered eigenvalues of the operator on the first 2n+1 basis
-    functions."""
-    return cluster_eigenvalues(oracle_eigenvalues(op, n))
 
 
 def scan_char_zeros(op: OperatorSpec, lambda_max: float) -> list[float]:

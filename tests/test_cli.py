@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from rankonespec import charfn, cli, diagnostics
 from rankonespec.cli import build_parser, main
 from rankonespec.io import dumps_canonical, read_json
 from rankonespec.potential import OperatorSpec, build_potential, companions
-from rankonespec.spectrum import classify_spectrum, weight_table
+from rankonespec.spectrum import SpectrumEntry, classify_spectrum, weight_table
 
 from conftest import reference_csv
 from test_api import CLI_OPTIONS
@@ -163,8 +164,9 @@ def test_oracle_compare(tmp_path, const_op_file):
 
 
 def test_oracle_compare_merged_cluster(tmp_path):
-    # the reduced level 36 and the secular root 36 + 1e-8 lie closer than the
-    # oracle's cluster radius, so the oracle reports one cluster (36, 2)
+    # the reduced level 36 and the secular root 36 + 1.03e-8 are matched by
+    # rank, each with its own oracle eigenvalue; they lie just over
+    # ORACLE_TOL apart, so each row counts one oracle eigenvalue near it
     op = OperatorSpec(1.0, build_potential(0.8, [(1, 0.6, 0.0), (3, 1e-4, 0.0)]))
     path = tmp_path / "op.json"
     path.write_text(json.dumps(op.to_dict()))
@@ -176,7 +178,7 @@ def test_oracle_compare_merged_cluster(tmp_path):
     assert report["max_deviation"] <= 1e-8
     merged = [row for row in report["entries"] if abs(row["z_solver"] - 36.0) < 1e-6]
     assert [row["m_solver"] for row in merged] == [1, 1]
-    assert all(row["m_oracle"] == 2 for row in merged)
+    assert all(row["m_oracle"] == 1 for row in merged)
     assert sum(row["m_solver"] for row in report["entries"]) == sum(
         e.multiplicity for e in classify_spectrum(op, 64.0).entries
     )
@@ -184,8 +186,8 @@ def test_oracle_compare_merged_cluster(tmp_path):
 
 def test_oracle_compare_near_floor_merged_cluster(tmp_path):
     # level 1 carries weight 9e-8, so its secular root sits 8.7e-8 above
-    # the reduced level 4 and the oracle merges them into (4.00000004, 2);
-    # compared with that mean, each entry would be off by half their gap
+    # the reduced level 4; matched by rank, neither entry is charged with
+    # half their gap, as it would be against their mean
     op = OperatorSpec(1.0, build_potential(0.0, [(1, 3e-4, 0.0), (3, 1.0, 0.0)]))
     path = tmp_path / "op.json"
     path.write_text(json.dumps(op.to_dict()))
@@ -197,7 +199,7 @@ def test_oracle_compare_near_floor_merged_cluster(tmp_path):
     assert report["max_deviation"] <= 1e-12
     merged = [row for row in report["entries"] if abs(row["z_solver"] - 4.0) < 1e-6]
     assert [row["m_solver"] for row in merged] == [1, 1]
-    assert all(row["m_oracle"] == 2 for row in merged)
+    assert all(row["m_oracle"] == 1 for row in merged)
     assert merged[0]["z_oracle"] == 4.0
     assert merged[1]["z_oracle"] == pytest.approx(4.0 + 8.7e-8, abs=1e-9)
     assert all(row["deviation"] == abs(row["z_solver"] - row["z_oracle"]) for row in report["entries"])
@@ -222,6 +224,77 @@ def test_oracle_compare_large_window():
     assert report["passed"] is True
     assert len(report["entries"]) == 50001
     assert report["max_deviation"] == 0.0
+
+
+ROOT_BELOW_OUTER_LEVEL = OperatorSpec(12.0 - 1e-7, build_potential(0.0, [(1, 1.0, 0.0)]))
+ROOT_ON_INACTIVE_LEVEL = OperatorSpec(
+    40.949637987232535,
+    build_potential(
+        0.42732553886505786,
+        [
+            (1, 0.21083497486825156, 0.44239571675911515),
+            (2, -0.17050595226761, 0.4194714629820206),
+            (3, -0.5374424331738763, 0.2887119152518003),
+        ],
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "op, window",
+    [
+        # the secular root 16 - 1e-7 lies inside the window, 1e-7 below the
+        # level 16 just outside it
+        (ROOT_BELOW_OUTER_LEVEL, ["--window", "15.99999995"]),
+        # the exterior root sits on the inactive level 4, at the default
+        # window 64 itself: the solver lists 64 with multiplicity 3
+        (ROOT_ON_INACTIVE_LEVEL, []),
+        (ROOT_ON_INACTIVE_LEVEL, ["--window", "65"]),
+    ],
+    ids=["root-below-outer-level", "root-on-level-at-window", "root-on-level-inside-window"],
+)
+def test_oracle_compare_root_next_to_window_edge(tmp_path, op, window):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(op.to_dict()))
+    out = tmp_path / "cmp.json"
+    assert main(["oracle-compare", "--input", str(path), "--output", str(out), *window]) == 0
+    report = read_json(out)
+    assert report["max_deviation"] <= 1e-13
+    assert [row["m_oracle"] for row in report["entries"]] == [row["m_solver"] for row in report["entries"]]
+
+
+def _drop_top(entries):
+    return entries[:-1]
+
+
+def _lower_multiplicity(entries):
+    # the unchanged level 4 listed once, as if reduced
+    return (entries[0], SpectrumEntry(4.0, 1), *entries[2:])
+
+
+def _move_z(entries):
+    return (SpectrumEntry(entries[0].z + 1e-6, 1), *entries[1:])
+
+
+def _list_too_many(entries):
+    # ten eigenvalues, one more than the oracle's nine up to level 4
+    return (*entries, SpectrumEntry(37.0, 1), SpectrumEntry(38.0, 1), SpectrumEntry(39.0, 1))
+
+
+@pytest.mark.parametrize("corrupt", [_drop_top, _lower_multiplicity, _move_z, _list_too_many])
+def test_oracle_compare_fails_on_a_wrong_spectrum(tmp_path, const_op_file, monkeypatch, corrupt):
+    # entries 1 (secular), then 4, 16 and 36 unchanged with multiplicity 2
+    classify = diagnostics.classify_spectrum
+
+    def wrong(op, window):
+        return SimpleNamespace(entries=corrupt(classify(op, window).entries))
+
+    monkeypatch.setattr(diagnostics, "classify_spectrum", wrong)
+    op = OperatorSpec.from_dict(read_json(const_op_file))
+    assert diagnostics.oracle_comparison(op, 40.0)["passed"] is False
+    out = tmp_path / "cmp.json"
+    assert main(["oracle-compare", "--input", str(const_op_file), "--window", "40", "--output", str(out)]) == 1
+    assert read_json(out)["passed"] is False
 
 
 def test_parser_built_once_and_options_do_not_leak(tmp_path, const_op_file):
