@@ -27,7 +27,7 @@ from .spectrum import ClassifiedSpectrum
 
 
 def _default_window(order: int) -> float:
-    return 4.0 * (order + 1) ** 2
+    return spectrum.level_value(order + 1)
 
 
 def _window(args, op: OperatorSpec) -> float:
@@ -69,7 +69,7 @@ def _cmd_inverse(args) -> int:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"three-spectra record missing or malformed field: {exc}") from exc
     ts = recovery.ThreeSpectra.from_classified(base, shifted, squared, order)
-    alpha, pot, mismatches = recovery._invert_three_spectra(ts)
+    alpha, pot, mismatches = recovery.invert_three_spectra(ts)
     residuals = [{"k": k, "norm_residual": r} for k, r in enumerate(mismatches)]
     _emit(
         args,

@@ -22,11 +22,8 @@ import numpy as np
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# Coefficient shifts of the two probe functions used by the inverse problem:
-# (x - pi/2) has sine coefficients -sqrt(pi/2)/k, and (x - pi/2)**2 has cosine
-# coefficients +sqrt(pi/2)/k**2 with constant-term coefficient pi^(5/2)/12.
-PROBE_SIN_SHIFT = math.sqrt(math.pi / 2.0)
-PROBE_COS_SHIFT = math.sqrt(math.pi / 2.0)
+# Scales of the two probes' coefficients (see probe_coefficients)
+PROBE_SHIFT = math.sqrt(math.pi / 2.0)
 PROBE_CONST_SHIFT = math.pi ** 2.5 / 12.0
 
 
@@ -177,24 +174,28 @@ def evaluate(spec: PotentialSpec, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
+def probe_coefficients(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """What the probes add to a potential's coefficients, over k = 0..order:
+    the odd probe (x - pi/2) adds -sqrt(pi/2)/k to s_k (0 at k = 0), and the
+    even probe (x - pi/2)**2 adds +sqrt(pi/2)/k**2 to c_k (pi^(5/2)/12 to c0).
+    """
+    k = np.arange(1, order + 1, dtype=float)
+    odd = np.append(0.0, -PROBE_SHIFT / k)
+    even = np.append(PROBE_CONST_SHIFT, PROBE_SHIFT / k ** 2)
+    return odd, even
+
+
 def companions(spec: PotentialSpec, k_comp: int) -> tuple[PotentialSpec, PotentialSpec]:
     """Companion potentials obtained by adding the odd probe (x - pi/2) and
-    the even probe (x - pi/2)**2, both truncated at harmonic k_comp.
-
-    The probes shift every sine coefficient by -sqrt(pi/2)/k and every cosine
-    coefficient by +sqrt(pi/2)/k**2 (constant term by pi^(5/2)/12).
-    """
+    the even probe (x - pi/2)**2, both truncated at harmonic k_comp, by the
+    coefficients of probe_coefficients(k_comp)."""
     if k_comp < spec.K:
         raise ValueError(f"companion truncation {k_comp} below potential order {spec.K}")
+    odd, even = (p.tolist() for p in probe_coefficients(k_comp))
     coeff = {k: (c, s) for k, c, s in spec.pairs}
-    w_pairs = []
-    what_pairs = []
-    for k in range(1, k_comp + 1):
-        c, s = coeff.get(k, (0.0, 0.0))
-        w_pairs.append((k, c, s - PROBE_SIN_SHIFT / k))
-        what_pairs.append((k, c + PROBE_COS_SHIFT / k ** 2, s))
-    w = PotentialSpec(c0=spec.c0, pairs=tuple(w_pairs))
-    what = PotentialSpec(c0=spec.c0 + PROBE_CONST_SHIFT, pairs=tuple(what_pairs))
+    levels = [(k, *coeff.get(k, (0.0, 0.0))) for k in range(1, k_comp + 1)]
+    w = PotentialSpec(c0=spec.c0, pairs=tuple((k, c, s + odd[k]) for k, c, s in levels))
+    what = PotentialSpec(c0=spec.c0 + even[0], pairs=tuple((k, c + even[k], s) for k, c, s in levels))
     return w, what
 
 

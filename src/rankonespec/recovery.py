@@ -24,8 +24,8 @@ from .errors import (
     InconsistentSpectraError,
     MalformedSpectrumError,
 )
-from .potential import OperatorSpec, PotentialSpec, build_potential
-from .spectrum import WEIGHT_FLOOR, ClassifiedSpectrum, SpectrumClass, WeightTable, nearest_level
+from .potential import OperatorSpec, PotentialSpec, build_potential, probe_coefficients
+from .spectrum import WEIGHT_FLOOR, ClassifiedSpectrum, SpectrumClass, WeightTable, level_value, nearest_level
 
 _PI_SQ = math.pi ** 2
 CONSISTENCY_TOL = 1e-6
@@ -153,7 +153,7 @@ class ThreeSpectra:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError(f"reconstruction order must be non-negative, got {self.order}")
-        need = 4.0 * (self.order + 1) ** 2
+        need = level_value(self.order + 1)
         for name, data in (("base", self.base), ("shifted", self.shifted), ("squared", self.squared)):
             if data.window < need:
                 raise ValueError(
@@ -176,58 +176,33 @@ class ThreeSpectra:
         )
 
 
-def _norms_scaled(data: SpectralData, alpha: float) -> dict[int, float]:
-    table = weights_from_spectrum(data)
-    return {k: x / alpha for k, x in table.weights.items()}
+def invert_three_spectra(ts: ThreeSpectra) -> tuple[float, PotentialSpec, list[float]]:
+    """Reconstruct (alpha, v) from the three spectra, with the norm-identity
+    mismatch |c_k^2 + s_k^2 - ||v_k||^2| of each level k = 0..order.
 
-
-def invert_three_spectra(ts: ThreeSpectra) -> tuple[float, PotentialSpec]:
-    """Reconstruct (alpha, v) from the three spectra.
-
-    The base spectrum fixes alpha and the level norms of v (unit-norm
-    convention); the companions' level norms then expose the sine and cosine
-    coefficients linearly through the probe shifts. A per-level consistency
-    check (cos^2 + sin^2 against the base norm) guards mismatched inputs.
+    The base spectrum fixes alpha and the level norms n_v of v (unit-norm
+    convention). A probe coefficient p shifts a level norm by 2px + p^2, so
+    x = (n_companion - n_v - p^2) / (2p): the cosines and c0 come from the
+    even probe's companion, the sines from the odd probe's, and s_0 = 0. A
+    mismatch above CONSISTENCY_TOL raises InconsistentSpectraError.
     """
-    alpha, potential, _ = _invert_three_spectra(ts)
-    return alpha, potential
-
-
-def _invert_three_spectra(ts: ThreeSpectra) -> tuple[float, PotentialSpec, list[float]]:
-    """invert_three_spectra's (alpha, v), and the norm-identity mismatch
-    |c_k^2 + s_k^2 - ||v_k||^2| that each level k = 0..order passed."""
-    alpha, norms_v = alpha_and_norms(weights_from_spectrum(ts.base))
-    norms_w = _norms_scaled(ts.shifted, alpha)
-    norms_wh = _norms_scaled(ts.squared, alpha)
-
-    sqrt_2pi = math.sqrt(2.0 * math.pi)
-    pairs = []
-    mismatches = []
-    for k in range(1, ts.order + 1):
-        nv = norms_v.get(k, 0.0)
-        nw = norms_w.get(k, 0.0)
-        nwh = norms_wh.get(k, 0.0)
-        s_k = (k / sqrt_2pi) * (nv - nw + math.pi / (2.0 * k ** 2))
-        c_k = (k ** 2 / sqrt_2pi) * (nwh - nv - math.pi / (2.0 * k ** 4))
-        mismatch = abs(c_k * c_k + s_k * s_k - nv)
-        if mismatch > CONSISTENCY_TOL:
-            raise InconsistentSpectraError(
-                f"level {k}: recovered coefficients violate the norm identity "
-                f"by {mismatch:.3e}"
-            )
-        pairs.append((k, c_k, s_k))
-        mismatches.append(mismatch)
-
-    nv0 = norms_v.get(0, 0.0)
-    nwh0 = norms_wh.get(0, 0.0)
-    c0 = (6.0 / math.pi ** 2.5) * (nwh0 - nv0 - math.pi ** 5 / 144.0)
-    mismatch = abs(c0 * c0 - nv0)
-    if mismatch > CONSISTENCY_TOL:
+    table = weights_from_spectrum(ts.base)
+    alpha, _ = alpha_and_norms(table)
+    tables = (table, weights_from_spectrum(ts.shifted), weights_from_spectrum(ts.squared))
+    levels = range(ts.order + 1)
+    nv, nw, nwh = (np.array([t.weights.get(k, 0.0) for k in levels]) / alpha for t in tables)
+    odd, even = probe_coefficients(ts.order)
+    c = (nwh - nv - even * even) / (2.0 * even)
+    s = np.divide(nw - nv - odd * odd, 2.0 * odd, out=np.zeros_like(odd), where=odd != 0.0)
+    mismatch = np.abs(c * c + s * s - nv)
+    failed = np.flatnonzero(mismatch > CONSISTENCY_TOL)
+    if failed.size:
+        k = int(failed[0])
         raise InconsistentSpectraError(
-            f"constant level: recovered coefficient violates the norm identity "
-            f"by {mismatch:.3e}"
+            f"level {k}: recovered coefficients violate the norm identity by {mismatch[k]:.3e}"
         )
-    return alpha, build_potential(c0, pairs), [mismatch] + mismatches
+    pairs = zip(levels[1:], c[1:].tolist(), s[1:].tolist())
+    return alpha, build_potential(float(c[0]), pairs), mismatch.tolist()
 
 
 def magnitudes_from_two_spectra(
@@ -241,10 +216,8 @@ def magnitudes_from_two_spectra(
     """
     w_plus = weights_from_spectrum(plus).weights
     w_minus = weights_from_spectrum(minus).weights
-    out: dict[int, tuple[float, float]] = {}
-    for k in sorted(set(w_plus) | set(w_minus)):
-        out[k] = (w_plus.get(k, 0.0), w_minus.get(k, 0.0))
-    return out
+    levels = sorted(w_plus.keys() | w_minus.keys())
+    return {k: (w_plus.get(k, 0.0), w_minus.get(k, 0.0)) for k in levels}
 
 
 @dataclass(frozen=True)

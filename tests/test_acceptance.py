@@ -157,7 +157,7 @@ def test_criterion_6_three_spectra_round_trip():
     worst_coeff = 0.0
     for alpha, v in cases:
         ts = _three_spectra(alpha, v)
-        a_rec, rec = invert_three_spectra(ts)
+        a_rec, rec, _ = invert_three_spectra(ts)
         worst_alpha = max(worst_alpha, abs(a_rec - alpha) / abs(alpha))
         worst_coeff = max(worst_coeff, abs(rec.c0 - v.c0))
         for k in range(1, ts.order + 1):
@@ -165,7 +165,7 @@ def test_criterion_6_three_spectra_round_trip():
             gc, gs = rec.coefficient(k)
             worst_coeff = max(worst_coeff, abs(gc - wc), abs(gs - ws))
     # worked example exactness is part of the criterion
-    a_rec, rec = invert_three_spectra(_three_spectra(1.0, cases[0][1]))
+    a_rec, rec, _ = invert_three_spectra(_three_spectra(1.0, cases[0][1]))
     exact = (
         abs(a_rec - 1.0) <= 1e-6
         and abs(rec.c0 - 0.6) <= 1e-6

@@ -9,7 +9,8 @@ from rankonespec import charfn, cli, diagnostics
 from rankonespec.cli import build_parser, main
 from rankonespec.io import dumps_canonical, read_json
 from rankonespec.potential import OperatorSpec, build_potential, companions
-from rankonespec.spectrum import SpectrumEntry, classify_spectrum, weight_table
+from rankonespec.recovery import ThreeSpectra, invert_three_spectra
+from rankonespec.spectrum import ClassifiedSpectrum, SpectrumEntry, classify_spectrum, weight_table
 
 from conftest import reference_csv
 from test_api import CLI_OPTIONS
@@ -345,6 +346,11 @@ def test_inverse_round_trip(tmp_path):
     assert terms[1][0] == pytest.approx(0.64, abs=1e-6)
     assert terms[1][1] == pytest.approx(0.48, abs=1e-6)
     assert max(r["norm_residual"] for r in rec["residuals"]) < 1e-6
+    # the residuals written are the library's, on the record as read back
+    read = read_json(inp)
+    spectra = (ClassifiedSpectrum.from_dict(read[key]) for key in ("base", "shifted", "squared"))
+    residuals = invert_three_spectra(ThreeSpectra.from_classified(*spectra, order))[2]
+    assert rec["residuals"] == [{"k": k, "norm_residual": r} for k, r in enumerate(residuals)]
 
 
 def test_synth_accept_and_reject(tmp_path):

@@ -11,6 +11,7 @@ from rankonespec.potential import (
     build_potential,
     companions,
     evaluate,
+    probe_coefficients,
 )
 
 from conftest import quad_oracle
@@ -95,6 +96,13 @@ class TestCompanions:
     def test_exact_cancellation(self):
         w, _ = companions(build_potential(0.0, [(1, 0.0, SQRT_PI_HALF)]), 1)
         assert w.coefficient(1) == (0.0, pytest.approx(0.0, abs=1e-16))
+
+    @pytest.mark.parametrize("order", [0, 1, 8, 128])
+    def test_probe_coefficients_are_what_companions_add(self, order):
+        w, what = companions(build_potential(0.0), order)
+        odd, even = probe_coefficients(order)
+        assert odd.tolist() == [w.coefficient(k)[1] for k in range(order + 1)]
+        assert even.tolist() == [what.coefficient(k)[0] for k in range(order + 1)]
 
     def test_truncation_below_order_rejected(self):
         with pytest.raises(ValueError):

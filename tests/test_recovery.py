@@ -47,9 +47,9 @@ def zero_root_operators():
     return [OperatorSpec(-4.0, COS2), OperatorSpec(alpha, v)]
 
 
-def three_spectra(alpha, v, order=32):
+def three_spectra(alpha, v, order=32, window=None):
     w, what = companions(v, order)
-    window = 4.0 * (order + 1) ** 2
+    window = window or 4.0 * (order + 1) ** 2
     return ThreeSpectra.from_classified(
         classify_spectrum(OperatorSpec(alpha, v), window),
         classify_spectrum(OperatorSpec(alpha, w), window),
@@ -102,7 +102,7 @@ class TestWeightsFromSpectrum:
         for k, x in got.items():
             assert abs(x - want[k]) <= 1e-12 * max(1.0, abs(want[k]))
         v = op.potential
-        alpha, rec = invert_three_spectra(three_spectra(op.alpha, v, v.K))
+        alpha, rec, _ = invert_three_spectra(three_spectra(op.alpha, v, v.K))
         assert abs(alpha - op.alpha) <= 1e-12 * abs(op.alpha)
         for k in range(v.K + 1):
             assert np.allclose(rec.coefficient(k), v.coefficient(k), rtol=0.0, atol=1e-12)
@@ -175,7 +175,7 @@ class TestRouteAgreement:
 class TestInvertThreeSpectra:
     def test_worked_example(self):
         v = build_potential(0.6, [(1, 0.64, 0.48)])
-        alpha, rec = invert_three_spectra(three_spectra(1.0, v))
+        alpha, rec, _ = invert_three_spectra(three_spectra(1.0, v))
         assert alpha == pytest.approx(1.0, rel=1e-6)
         assert rec.c0 == pytest.approx(0.6, abs=1e-6)
         c1, s1 = rec.coefficient(1)
@@ -185,7 +185,7 @@ class TestInvertThreeSpectra:
         assert tail < 1e-6
 
     def test_negative_coupling_constant_potential(self):
-        alpha, rec = invert_three_spectra(three_spectra(-2.0, CONST))
+        alpha, rec, _ = invert_three_spectra(three_spectra(-2.0, CONST))
         assert alpha == pytest.approx(-2.0, rel=1e-6)
         assert rec.c0 == pytest.approx(1.0, abs=1e-8)
         assert max(max(abs(c), abs(s)) for k, c, s in rec.pairs) < 1e-8
@@ -194,7 +194,7 @@ class TestInvertThreeSpectra:
         for alpha in (0.5, -0.5, 1.0, -1.0, 3.0, -3.0):
             v = random_potential(rng, max_order=8)
             ts = three_spectra(alpha, v)
-            a_rec, rec = invert_three_spectra(ts)
+            a_rec, rec, _ = invert_three_spectra(ts)
             assert a_rec == pytest.approx(alpha, rel=1e-6)
             assert rec.c0 == pytest.approx(v.c0, abs=1e-6)
             for k in range(1, ts.order + 1):
@@ -203,11 +203,28 @@ class TestInvertThreeSpectra:
                 assert got_c == pytest.approx(want_c, abs=1e-6)
                 assert got_s == pytest.approx(want_s, abs=1e-6)
 
+    def test_order_zero_constant_potential(self):
+        # the even probe's companion has its root at (1 + pi^(5/2)/12)^2 ~ 6.04
+        alpha, rec, residuals = invert_three_spectra(three_spectra(1.0, CONST, order=0, window=40.0))
+        assert alpha == pytest.approx(1.0, rel=1e-6)
+        assert rec.c0 == pytest.approx(1.0, abs=1e-6)
+        assert rec.pairs == ()
+        assert len(residuals) == 1 and residuals[0] < 1e-6
+
     def test_mismatched_spectra_rejected(self):
         v = build_potential(0.6, [(1, 0.64, 0.48)])
         ts = three_spectra(1.0, v)
         bad = ThreeSpectra(base=ts.base, shifted=ts.base, squared=ts.squared, order=ts.order)
         with pytest.raises(InconsistentSpectraError):
+            invert_three_spectra(bad)
+
+    def test_first_failing_level_is_named(self):
+        # with the base spectrum in place of the even probe's, every cosine
+        # and c0 fail the norm identity; the constant level is level 0
+        v = build_potential(0.6, [(1, 0.64, 0.48)])
+        ts = three_spectra(1.0, v)
+        bad = ThreeSpectra(base=ts.base, shifted=ts.shifted, squared=ts.base, order=ts.order)
+        with pytest.raises(InconsistentSpectraError, match=r"^level 0: "):
             invert_three_spectra(bad)
 
     def test_window_capacity_enforced(self):
