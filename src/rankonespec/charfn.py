@@ -14,7 +14,8 @@ same exponential e = e^{-i pi lam}, so with E = 1 - e the closed forms are
 and the potential's Fourier transform and the transform of its one-sided
 autocorrelation become Cauchy sums of coefficient vectors over
 1/(lam + 2j) and 1/(lam + 2j)^2, with one exponential per point (and sign,
-as lam and -lam are evaluated together). The
+as lam and -lam are evaluated together, except on the real axis, where the
+-lam values are the conjugates of the lam values). The
 removable singularities of the closed forms sit on the even-integer lattice,
 and only the shift nearest the lattice can come close to one. There the
 closed form of U keeps full relative accuracy, since E comes from expm1, and
@@ -117,59 +118,75 @@ def _transforms(spec, lam):
     e^{-i pi lam} = e^{-i pi r}, so one exponential per point and sign serves
     every shift. Both signs share the Cauchy matrix 1/(lam + 2j), since
     1/(-lam + 2j) = -1/(lam - 2j); its column j = -n, the one nearest the
-    lattice, is left out of the sums and evaluated on its own. The matrix is
-    formed in blocks of points, so it stays small. Every step maps exactly
-    onto its conjugate under lam -> conj(lam), which swaps the two rows.
+    lattice, is left out of the sums and evaluated on its own, with the
+    coefficients at that shift gathered once (zero where -n is no shift).
+    The matrix is formed in blocks of points, so it stays small. Every step
+    maps exactly onto its conjugate under lam -> conj(lam), which swaps the
+    two rows. So when every lam is real, only row 0 is computed, from a
+    real Cauchy matrix, and row 1 is its conjugate: the values the -lam
+    pass gives, up to the sign of an exact zero.
     """
     ms, amps = exp_coefficients(spec)
     shifts, ce, cf = _autocorr_tables(spec)
     # columns F, CE, CF at lam + 2j; the shift set is symmetric, so the
-    # reversed table holds the coefficients at -lam + 2j = -(lam - 2j). Both
-    # tables are contiguous and each sign gets its own products below, so
-    # both signs take the same BLAS path and a conjugate point reproduces
+    # reversed table holds the coefficients at -lam + 2j = -(lam - 2j). Each
+    # table gets a zero row appended, gathered where -n is no shift. The
+    # products below take the contiguous rows before it, each sign its own,
+    # so both signs take the same BLAS path and a conjugate point reproduces
     # the other sign's sums exactly.
     coeffs = np.stack([amps[np.argsort(-ms)], ce, cf], axis=1)
-    tables = (coeffs, coeffs[::-1].copy())
+    tables = [np.concatenate([t, np.zeros((1, 3))]) for t in (coeffs, coeffs[::-1])]
 
     shape = lam.shape
     lam = lam.ravel()
+    real = not lam.imag.any()
+    signs = 1 if real else 2
     n, r = _lattice_offset(lam)
     out = np.empty((3, 2, len(lam)), dtype=complex)
     big_e = out[0]
     big_e[0] = one_minus_exp(-1j * _PI * r)
-    big_e[1] = one_minus_exp(1j * _PI * r)
-    nearest = [
-        _nearest_shift_values(r, big_e[0]),
-        _nearest_shift_values(-r, big_e[1]),
-    ]
+    nearest = [_nearest_shift_values(r, big_e[0])]
+    if not real:
+        big_e[1] = one_minus_exp(1j * _PI * r)
+        nearest.append(_nearest_shift_values(-r, big_e[1]))
+    # sums of table[j] / (+-lam + 2j) and of CF[j] / (+-lam + 2j)^2 over
+    # every shift but the nearest; on the real axis the matrix is real
+    s1 = np.empty((signs, len(lam), 3), dtype=complex)
+    s2 = np.empty((signs, len(lam)), dtype=complex)
+    grid = lam.real if real else lam
     step = max(_BLOCK_POINTS, _BLOCK_ENTRIES // max(1, len(shifts)))
     for lo in range(0, len(lam), step):
         blk = slice(lo, lo + step)
-        mu = lam[blk, None] + 2.0 * shifts
+        mu = grid[blk, None] + 2.0 * shifts
         near = shifts == -n[blk, None]  # at most one column per row
         mu[near] = 1.0
         inv = 1.0 / mu
         inv[near] = 0.0
         inv2 = inv * inv
-        picked = near.astype(float)
-        for sign, table in enumerate(tables):
-            # sums of table[j] / (+-lam + 2j) and its square, and the
-            # coefficients at the nearest shift; at -lam the first power
-            # changes sign, which goes into the factors in front of it
-            s1 = inv @ table
-            s2 = inv2 @ table[:, 2]
-            c = picked @ table
-            eb = big_e[sign, blk]
-            u, x = (v[blk] for v in nearest[sign])
-            front = (-1j, 1j)[sign] * eb
-            out[1, sign, blk] = front * s1[:, 0] + c[:, 0] * u
-            out[2, sign, blk] = (
-                front * s1[:, 1]
-                - eb * s2
-                + (1j * _PI, -1j * _PI)[sign] * (1.0 - eb) * s1[:, 2]
-                + c[:, 1] * u
-                + c[:, 2] * x
-            )
+        for sign in range(signs):
+            table = tables[sign][:-1]
+            np.matmul(inv, table, out=s1[sign, blk])
+            np.matmul(inv2, table[:, 2], out=s2[sign, blk])
+    # each point's row of the tables: its nearest shift -n, or the zero row
+    at = np.searchsorted(shifts, -n)
+    at[np.append(shifts, 0)[at] != -n] = len(shifts)
+    for sign in range(signs):
+        # at -lam the first power changes sign, which goes into the factors
+        # in front of it
+        c = tables[sign][at]
+        eb = big_e[sign]
+        u, x = nearest[sign]
+        front = (-1j, 1j)[sign] * eb
+        out[1, sign] = front * s1[sign, :, 0] + c[:, 0] * u
+        out[2, sign] = (
+            front * s1[sign, :, 1]
+            - eb * s2[sign]
+            + (1j * _PI, -1j * _PI)[sign] * (1.0 - eb) * s1[sign, :, 2]
+            + c[:, 1] * u
+            + c[:, 2] * x
+        )
+    if real:
+        out[:, 1] = np.conjugate(out[:, 0])
     return out.reshape((3, 2) + shape)
 
 

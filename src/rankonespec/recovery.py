@@ -61,16 +61,21 @@ def check_interlacing(data: SpectralData) -> int:
     """Validate strict alternation of secular roots with active levels.
 
     Returns the orientation (+1/-1); raises MalformedSpectrumError when the
-    counts disagree or alternation fails.
+    counts disagree or alternation fails. A count mismatch names the window,
+    and one root short says that the root above the top active level lies
+    beyond it: the window cuts the spectrum only from above.
     """
     poles = sorted(data.active_levels)
     mus = sorted(data.mus)
     if not poles:
         raise DegenerateOperatorError("no active level in spectral data")
     if len(mus) != len(poles):
+        cut = ""
+        if len(mus) == len(poles) - 1:
+            cut = f"; the root above the top active level {poles[-1]} lies beyond that window"
         raise MalformedSpectrumError(
             f"expected {len(poles)} secular roots for {len(poles)} active levels, "
-            f"got {len(mus)}"
+            f"got {len(mus)} within the window {data.window}{cut}"
         )
     above = mus[-1] > poles[-1]
     below = mus[0] < poles[0]

@@ -442,6 +442,39 @@ class TestKernelAgainstPerShiftReference:
         assert np.all(charfn.autocorr_transform(spec, lam) == 0.0)
 
 
+# every shift set: dense, with gaps (levels 2 and 5, no constant), the
+# constant only, and none
+_REAL_AXIS_SPECS = (_KERNEL_OPS[0].potential, _KERNEL_OPS[1].potential, CONST, build_potential(0.0))
+# the identity grid, and a grid past every shift, through the lattice
+_REAL_GRIDS = (identity_grid(), np.linspace(-40.0, 40.0, 801))
+
+
+class TestRealAxisKernel:
+    @pytest.mark.parametrize("grid", _REAL_GRIDS, ids=("identity", "wide"))
+    @pytest.mark.parametrize("spec", _REAL_AXIS_SPECS)
+    def test_one_sign_equals_both_signs_bit_for_bit(self, spec, grid):
+        # one complex point sends the same real points down the two-sign path
+        real = charfn._transforms(spec, grid.astype(complex))
+        both = charfn._transforms(spec, np.append(grid, 1.0 + 1.0j))[..., :-1]
+        assert np.array_equal(real.real, both.real)
+        assert np.array_equal(real.imag, both.imag)
+        assert np.array_equal(real[:, 1], np.conjugate(real[:, 0]))
+
+    def test_real_axis_takes_one_sign(self, monkeypatch):
+        calls = []
+        for name in ("one_minus_exp", "_nearest_shift_values"):
+            def counted(*args, name=name, wrapped=getattr(charfn, name)):
+                calls.append(name)
+                return wrapped(*args)
+
+            monkeypatch.setattr(charfn, name, counted)
+        spec, grid = _KERNEL_OPS[0].potential, identity_grid().astype(complex)
+        for lam, passes in ((grid, 1), (np.append(grid, 1.0 + 1.0j), 2)):
+            calls.clear()
+            charfn._transforms(spec, lam)
+            assert sorted(calls) == ["_nearest_shift_values"] * passes + ["one_minus_exp"] * passes
+
+
 def _nearest_shift_offsets():
     """r = 0, +-1e-20i, real and complex offsets with |r| in 1e-16..1e-3, and
     offsets down to the subnormal range, where r cannot divide E."""

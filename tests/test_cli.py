@@ -380,6 +380,23 @@ def test_synth_accept_and_reject(tmp_path):
     assert payload["operator"] is None
 
 
+def test_synth_detail_names_the_window_that_cuts_the_exterior_root(tmp_path):
+    # at alpha = 50 the exterior secular root lies in (16, 66], beyond the
+    # window 40 that forward defaults to at order 2
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps({"alpha": 50.0, "potential": {
+        "c0": 0.6, "terms": [{"k": 1, "c": 0.6, "s": 0.0}, {"k": 2, "c": 0.4, "s": 0.346}], "K": 2,
+    }}))
+    spec_path, out = tmp_path / "spec.json", tmp_path / "synth.json"
+    assert main(["forward", "--input", str(op_path), "--output", str(spec_path)]) == 0
+    assert read_json(spec_path)["window"] == 40.0
+    main(["synth", "--input", str(spec_path), "--output", str(out)])
+    assert read_json(out)["report"]["detail"] == (
+        "expected 3 secular roots for 3 active levels, got 2 within the window 40.0; "
+        "the root above the top active level 16.0 lies beyond that window"
+    )
+
+
 def test_synth_and_inverse_with_a_root_on_zero(tmp_path):
     # alpha = -4 and v = sqrt(2/pi) cos 2x put a secular root on the
     # inactive constant level: the base spectrum holds an exact 0.0

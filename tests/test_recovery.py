@@ -211,6 +211,16 @@ class TestInvertThreeSpectra:
         assert rec.pairs == ()
         assert len(residuals) == 1 and residuals[0] < 1e-6
 
+    def test_missing_exterior_root_names_the_window(self):
+        # window 4 holds the base spectrum's root at 1 but not the even
+        # probe companion's, at ~6.04, above the one active level 0
+        ts = three_spectra(1.0, CONST, order=0, window=4.0)
+        with pytest.raises(
+            MalformedSpectrumError,
+            match=r"got 0 within the window 4\.0; the root above the top active level 0\.0 lies beyond that window$",
+        ):
+            invert_three_spectra(ts)
+
     def test_mismatched_spectra_rejected(self):
         v = build_potential(0.6, [(1, 0.64, 0.48)])
         ts = three_spectra(1.0, v)
