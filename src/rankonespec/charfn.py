@@ -13,9 +13,9 @@ same exponential e = e^{-i pi lam}, so with E = 1 - e the closed forms are
 
 and the potential's Fourier transform and the transform of its one-sided
 autocorrelation become Cauchy sums of coefficient vectors over
-1/(lam + 2j) and 1/(lam + 2j)^2, with one exponential per point (and sign,
-as lam and -lam are evaluated together, except on the real axis, where the
--lam values are the conjugates of the lam values). The
+1/(lam + 2j) and 1/(lam + 2j)^2, with one exponential per point. The
+potential is real, so each value at -lam is the star conjugate
+f*(lam) = conj(f(conj(lam))) and is formed as exactly that. The
 removable singularities of the closed forms sit on the even-integer lattice,
 and only the shift nearest the lattice can come close to one. There the
 closed form of U keeps full relative accuracy, since E comes from expm1, and
@@ -112,81 +112,70 @@ def _transforms(spec, lam):
     """(E, F, AC) at lam and at -lam, as one array of shape (3, 2) + lam.shape.
 
     lam is a complex array; in each of E = 1 - e^{-i pi lam}, F and AC, row 0
-    holds the values at lam and row 1 those at -lam.
+    holds the values at lam and row 1 those at -lam. Only row 0's formula is
+    evaluated, at pts = lam on the real axis and at pts = (lam, conj(lam))
+    elsewhere: the potential is real, so row 1 is the star conjugate
+    f*(lam) = conj(f(conj(lam))), the conjugate of row 0 at conj(lam).
 
     With n = round(Re lam / 2), r = lam - 2n is exact and
-    e^{-i pi lam} = e^{-i pi r}, so one exponential per point and sign serves
-    every shift. Both signs share the Cauchy matrix 1/(lam + 2j), since
-    1/(-lam + 2j) = -1/(lam - 2j); its column j = -n, the one nearest the
-    lattice, is left out of the sums and evaluated on its own, with the
-    coefficients at that shift gathered once (zero where -n is no shift).
-    The matrix is formed in blocks of points, so it stays small. Every step
-    maps exactly onto its conjugate under lam -> conj(lam), which swaps the
-    two rows. So when every lam is real, only row 0 is computed, from a
-    real Cauchy matrix, and row 1 is its conjugate: the values the -lam
-    pass gives, up to the sign of an exact zero.
+    e^{-i pi lam} = e^{-i pi r}, so one exponential per point serves every
+    shift. In the Cauchy matrix 1/(lam + 2j) the column j = -n, the one
+    nearest the lattice, is left out of the sums and evaluated on its own,
+    with the coefficients at that shift gathered (zero where -n is no
+    shift). The matrix is formed in blocks of points, so it stays small; on
+    the real axis it is real, and at conj(lam) it is conj(inv) exactly, so
+    the sums there are conj(inv @ conj(table)).
     """
     ms, amps = exp_coefficients(spec)
     shifts, ce, cf = _autocorr_tables(spec)
-    # columns F, CE, CF at lam + 2j; the shift set is symmetric, so the
-    # reversed table holds the coefficients at -lam + 2j = -(lam - 2j). Each
-    # table gets a zero row appended, gathered where -n is no shift. The
-    # products below take the contiguous rows before it, each sign its own,
-    # so both signs take the same BLAS path and a conjugate point reproduces
-    # the other sign's sums exactly.
-    coeffs = np.stack([amps[np.argsort(-ms)], ce, cf], axis=1)
-    tables = [np.concatenate([t, np.zeros((1, 3))]) for t in (coeffs, coeffs[::-1])]
+    # columns F, CE, CF at lam + 2j, and a zero row, gathered where -n is no
+    # shift; the products take the contiguous rows before it
+    coeffs = np.concatenate([np.stack([amps[np.argsort(-ms)], ce, cf], axis=1), np.zeros((1, 3))])
+    table, table_conj = coeffs[:-1], np.conjugate(coeffs[:-1])
 
     shape = lam.shape
     lam = lam.ravel()
+    size = len(lam)
     real = not lam.imag.any()
-    signs = 1 if real else 2
-    n, r = _lattice_offset(lam)
-    out = np.empty((3, 2, len(lam)), dtype=complex)
-    big_e = out[0]
-    big_e[0] = one_minus_exp(-1j * _PI * r)
-    nearest = [_nearest_shift_values(r, big_e[0])]
-    if not real:
-        big_e[1] = one_minus_exp(1j * _PI * r)
-        nearest.append(_nearest_shift_values(-r, big_e[1]))
-    # sums of table[j] / (+-lam + 2j) and of CF[j] / (+-lam + 2j)^2 over
-    # every shift but the nearest; on the real axis the matrix is real
-    s1 = np.empty((signs, len(lam), 3), dtype=complex)
-    s2 = np.empty((signs, len(lam)), dtype=complex)
+    pts = lam if real else np.concatenate([lam, np.conjugate(lam)])
+    out = np.empty((3, 2, size), dtype=complex)
+    big_e, f, ac = out.reshape(3, -1)[:, : len(pts)]  # row 0 at pts
+    n, r = _lattice_offset(pts)
+    big_e[:] = one_minus_exp(-1j * _PI * r)
+    u, x = _nearest_shift_values(r, big_e)
+    # columns 0-2: sums of table[j] / (pt + 2j), column 3: of CF[j] / (pt + 2j)^2,
+    # over every shift but the nearest
+    sums = np.empty((len(pts), 4), dtype=complex)
     grid = lam.real if real else lam
     step = max(_BLOCK_POINTS, _BLOCK_ENTRIES // max(1, len(shifts)))
-    for lo in range(0, len(lam), step):
-        blk = slice(lo, lo + step)
+    for lo in range(0, size, step):
+        blk = slice(lo, min(lo + step, size))
         mu = grid[blk, None] + 2.0 * shifts
         near = shifts == -n[blk, None]  # at most one column per row
         mu[near] = 1.0
         inv = 1.0 / mu
         inv[near] = 0.0
         inv2 = inv * inv
-        for sign in range(signs):
-            table = tables[sign][:-1]
-            np.matmul(inv, table, out=s1[sign, blk])
-            np.matmul(inv2, table[:, 2], out=s2[sign, blk])
+        np.matmul(inv, table, out=sums[blk, :3])
+        np.matmul(inv2, table[:, 2], out=sums[blk, 3])
+        if not real:
+            conj_blk = slice(size + lo, size + blk.stop)
+            np.matmul(inv, table_conj, out=sums[conj_blk, :3])
+            np.matmul(inv2, table_conj[:, 2], out=sums[conj_blk, 3])
+    # + 0.0: an exact zero takes the sign of a sum formed from +0, not the
+    # one the conjugation leaves
+    sums[size:] = np.conjugate(sums[size:]) + 0.0
     # each point's row of the tables: its nearest shift -n, or the zero row
     at = np.searchsorted(shifts, -n)
     at[np.append(shifts, 0)[at] != -n] = len(shifts)
-    for sign in range(signs):
-        # at -lam the first power changes sign, which goes into the factors
-        # in front of it
-        c = tables[sign][at]
-        eb = big_e[sign]
-        u, x = nearest[sign]
-        front = (-1j, 1j)[sign] * eb
-        out[1, sign] = front * s1[sign, :, 0] + c[:, 0] * u
-        out[2, sign] = (
-            front * s1[sign, :, 1]
-            - eb * s2[sign]
-            + (1j * _PI, -1j * _PI)[sign] * (1.0 - eb) * s1[sign, :, 2]
-            + c[:, 1] * u
-            + c[:, 2] * x
-        )
-    if real:
-        out[:, 1] = np.conjugate(out[:, 0])
+    c = coeffs[at]
+    front = -1j * big_e
+    f[:] = front * sums[:, 0] + c[:, 0] * u
+    ac[:] = (
+        front * sums[:, 1] - big_e * sums[:, 3] + 1j * _PI * (1.0 - big_e) * sums[:, 2]
+        + c[:, 1] * u + c[:, 2] * x
+    )
+    np.conjugate(out[:, 0] if real else out[:, 1], out=out[:, 1])
     return out.reshape((3, 2) + shape)
 
 
@@ -218,8 +207,8 @@ def fourier_transform(spec: PotentialSpec, lam):
 
 
 def fourier_transform_star(spec: PotentialSpec, lam):
-    """Star-conjugate f*(lam) = conj(f(conj(lam))) of the Fourier transform.
-    The potential is real, so this is F(-lam), the kernel's -lam row."""
+    """Star-conjugate f*(lam) = conj(f(conj(lam))) of the Fourier transform,
+    the kernel's -lam row (the potential is real)."""
     return _kernel_row(spec, lam, 1, 1)
 
 

@@ -31,8 +31,14 @@ def _default_window(order: int) -> float:
 
 
 def _window(args, op: OperatorSpec) -> float:
-    """--window, else the default window of op's order, and at least 40."""
-    return args.window if args.window is not None else max(40.0, _default_window(op.potential.K))
+    """--window, else the default window of op's order, at least 40, and at
+    least 4K^2 + 2 alpha ||v||^2, the top of the exterior root's bracket in
+    numerics._gap_origins, so that for alpha > 0 it holds that root."""
+    if args.window is not None:
+        return args.window
+    pot = op.potential
+    top = spectrum.level_value(pot.K) + 2.0 * op.alpha * pot.norm_sq
+    return max(40.0, _default_window(pot.K), top)
 
 
 def _emit(args, payload: dict) -> None:

@@ -66,9 +66,11 @@ def identity_report_and_rows(op: OperatorSpec):
 
 
 def char_samples(op: OperatorSpec, lam_max: float):
-    """(lambda, Re perturbed) samples for plotting on (0, lam_max]."""
+    """(lambda, Re perturbed) samples for plotting on (0, lam_max]. The grid
+    hits the even integers, where D vanishes; + 0.0 writes each such zero as
+    0, whatever sign the kernel's rounding left on it."""
     grid = np.arange(GRID_STEP, lam_max + GRID_STEP / 2.0, GRID_STEP)
-    d = np.real(charfn.char_perturbed(op, grid))
+    d = np.real(charfn.char_perturbed(op, grid)) + 0.0
     return list(zip(grid.tolist(), d.tolist()))
 
 

@@ -453,7 +453,8 @@ class TestRealAxisKernel:
     @pytest.mark.parametrize("grid", _REAL_GRIDS, ids=("identity", "wide"))
     @pytest.mark.parametrize("spec", _REAL_AXIS_SPECS)
     def test_one_sign_equals_both_signs_bit_for_bit(self, spec, grid):
-        # one complex point sends the same real points down the two-sign path
+        # one complex point adds the points conj(lam) to the pass; the real
+        # points' values must not change with it
         real = charfn._transforms(spec, grid.astype(complex))
         both = charfn._transforms(spec, np.append(grid, 1.0 + 1.0j))[..., :-1]
         assert np.array_equal(real.real, both.real)
@@ -461,18 +462,46 @@ class TestRealAxisKernel:
         assert np.array_equal(real[:, 1], np.conjugate(real[:, 0]))
 
     def test_real_axis_takes_one_sign(self, monkeypatch):
+        # one exponential and one nearest-shift evaluation, at lam alone on
+        # the real axis and at lam and conj(lam) otherwise
         calls = []
         for name in ("one_minus_exp", "_nearest_shift_values"):
             def counted(*args, name=name, wrapped=getattr(charfn, name)):
-                calls.append(name)
+                calls.append((name, len(args[0])))
                 return wrapped(*args)
 
             monkeypatch.setattr(charfn, name, counted)
         spec, grid = _KERNEL_OPS[0].potential, identity_grid().astype(complex)
-        for lam, passes in ((grid, 1), (np.append(grid, 1.0 + 1.0j), 2)):
+        for lam, points in ((grid, len(grid)), (np.append(grid, 1.0 + 1.0j), 2 * len(grid) + 2)):
             calls.clear()
             charfn._transforms(spec, lam)
-            assert sorted(calls) == ["_nearest_shift_values"] * passes + ["one_minus_exp"] * passes
+            assert sorted(calls) == [("_nearest_shift_values", points), ("one_minus_exp", points)]
+
+
+_STAR_GRIDS = (
+    1j * np.random.default_rng(23).uniform(-3.0, 3.0, 80),
+    identity_grid() + 0.3j,
+    identity_grid() - 0.3j,
+    np.random.default_rng(23).uniform(-30.0, 30.0, 200)
+    + 1j * np.random.default_rng(32).uniform(-3.0, 3.0, 200),
+)
+
+
+@pytest.mark.parametrize("grid", _STAR_GRIDS, ids=("imaginary", "above", "below", "quadrants"))
+@pytest.mark.parametrize(
+    "spec", [op.potential for op in _KERNEL_OPS] + [CONST, build_potential(0.0)]
+)
+@pytest.mark.parametrize(
+    "f, star",
+    [
+        (charfn.fourier_transform, charfn.fourier_transform_star),
+        (charfn.autocorr_transform, charfn.autocorr_transform_star),
+    ],
+    ids=("fourier", "autocorr"),
+)
+def test_star_is_the_conjugate_at_conj_lam_byte_for_byte(f, star, spec, grid):
+    # f*(lam) = conj(f(conj(lam))) is the definition, zero signs included
+    assert star(spec, grid).tobytes() == np.conj(f(spec, np.conj(grid))).tobytes()
 
 
 def _nearest_shift_offsets():

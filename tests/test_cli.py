@@ -64,6 +64,19 @@ def test_forward_emit_plot(tmp_path, const_op_file):
     assert (tmp_path / "spec.csv").read_text() == reference_csv(["lambda", "char_real"], rows)
 
 
+def test_forward_plot_writes_no_negative_zero(tmp_path):
+    # D vanishes at lambda = 2, 4 and 6 on the plot grid, levels 1 and 3
+    # inactive; the kernel's sums round two of those zeros to -0
+    op_path, out = tmp_path / "op.json", tmp_path / "spec.json"
+    op_path.write_text(json.dumps({"alpha": -4.51, "potential": {
+        "c0": 1.0, "terms": [{"k": 2, "c": 0.3, "s": -0.53}], "K": 2,
+    }}))
+    assert main(["forward", "--input", str(op_path), "--window", "40", "--output", str(out), "--emit-plot"]) == 0
+    fields = [f for line in (tmp_path / "spec.csv").read_text().splitlines()[1:] for f in line.split(",")]
+    assert fields.count("0") == 3
+    assert not [f for f in fields if f.startswith("-0") and float(f) == 0.0]
+
+
 def test_validate(tmp_path, const_op_file):
     out = tmp_path / "report.json"
     rc = main(["validate", "--input", str(const_op_file), "--output", str(out), "--emit-plot"])
@@ -380,21 +393,67 @@ def test_synth_accept_and_reject(tmp_path):
     assert payload["operator"] is None
 
 
+_ALPHA_50 = {"alpha": 50.0, "potential": {
+    "c0": 0.6, "terms": [{"k": 1, "c": 0.6, "s": 0.0}, {"k": 2, "c": 0.4, "s": 0.346}], "K": 2,
+}}
+
+
 def test_synth_detail_names_the_window_that_cuts_the_exterior_root(tmp_path):
     # at alpha = 50 the exterior secular root lies in (16, 66], beyond the
-    # window 40 that forward defaults to at order 2
+    # window 40
     op_path = tmp_path / "op.json"
-    op_path.write_text(json.dumps({"alpha": 50.0, "potential": {
-        "c0": 0.6, "terms": [{"k": 1, "c": 0.6, "s": 0.0}, {"k": 2, "c": 0.4, "s": 0.346}], "K": 2,
-    }}))
+    op_path.write_text(json.dumps(_ALPHA_50))
     spec_path, out = tmp_path / "spec.json", tmp_path / "synth.json"
-    assert main(["forward", "--input", str(op_path), "--output", str(spec_path)]) == 0
+    assert main(["forward", "--input", str(op_path), "--output", str(spec_path), "--window", "40"]) == 0
     assert read_json(spec_path)["window"] == 40.0
     main(["synth", "--input", str(spec_path), "--output", str(out)])
     assert read_json(out)["report"]["detail"] == (
         "expected 3 secular roots for 3 active levels, got 2 within the window 40.0; "
         "the root above the top active level 16.0 lies beyond that window"
     )
+
+
+def test_default_window_holds_the_exterior_root(tmp_path):
+    # the default window reaches 4K^2 + 2 alpha ||v||^2, past the root in
+    # (16, 66]
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps(_ALPHA_50))
+    spec_path, out = tmp_path / "spec.json", tmp_path / "synth.json"
+    assert main(["forward", "--input", str(op_path), "--output", str(spec_path)]) == 0
+    assert main(["synth", "--input", str(spec_path), "--output", str(out)]) == 0
+    # synth's potential has unit norm, so its coupling is alpha ||v||^2
+    coupling = 50.0 * OperatorSpec.from_dict(_ALPHA_50).potential.norm_sq
+    assert read_json(out)["operator"]["alpha"] == pytest.approx(coupling, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "order, alpha_range", [(0, (25.0, 50.0)), (1, (25.0, 50.0)), (2, (25.0, 50.0)),
+                           (8, (500.0, 1000.0)), (32, (500.0, 1000.0))]
+)
+def test_default_window_round_trip_at_large_coupling(tmp_path, order, alpha_range):
+    # forward x3 with no --window, then inverse: every spectrum holds its
+    # exterior root, so the inverse completes
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        alpha = float(rng.uniform(*alpha_range))
+        c = rng.standard_normal(2 * order + 1)
+        c /= np.linalg.norm(c)
+        terms = [(k, float(c[2 * k - 1]), float(c[2 * k])) for k in range(1, order + 1)]
+        v = build_potential(float(c[0]), terms)
+        record = {"K": order}
+        for key, pot in zip(("base", "shifted", "squared"), (v, *companions(v, order))):
+            op_path, spec_path = tmp_path / f"{key}.json", tmp_path / f"{key}.out.json"
+            op_path.write_text(json.dumps({"alpha": alpha, "potential": pot.to_dict()}))
+            assert main(["forward", "--input", str(op_path), "--output", str(spec_path)]) == 0
+            record[key] = read_json(spec_path)
+        (tmp_path / "three.json").write_text(json.dumps(record))
+        out = tmp_path / "rec.json"
+        assert main(["inverse", "--input", str(tmp_path / "three.json"), "--output", str(out)]) == 0
+        rec = read_json(out)
+        assert rec["alpha"] == pytest.approx(alpha, rel=1e-6)
+        recovered = rec["potential"]
+        got = np.array([recovered["c0"]] + [x for t in recovered["terms"] for x in (t["c"], t["s"])])
+        assert np.max(np.abs(got - c)) < 1e-6
 
 
 def test_synth_and_inverse_with_a_root_on_zero(tmp_path):
