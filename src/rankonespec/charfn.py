@@ -126,12 +126,8 @@ def _transforms(spec, lam):
     the real axis it is real, and at conj(lam) it is conj(inv) exactly, so
     the sums there are conj(inv @ conj(table)).
     """
-    ms, amps = exp_coefficients(spec)
-    shifts, ce, cf = _autocorr_tables(spec)
-    # columns F, CE, CF at lam + 2j, and a zero row, gathered where -n is no
-    # shift; the products take the contiguous rows before it
-    coeffs = np.concatenate([np.stack([amps[np.argsort(-ms)], ce, cf], axis=1), np.zeros((1, 3))])
-    table, table_conj = coeffs[:-1], np.conjugate(coeffs[:-1])
+    shifts, coeffs = _autocorr_tables(spec)
+    table, table_conj = coeffs[:-1], np.conjugate(coeffs[:-1])  # the shifts' rows
 
     shape = lam.shape
     lam = lam.ravel()
@@ -165,7 +161,7 @@ def _transforms(spec, lam):
     # + 0.0: an exact zero takes the sign of a sum formed from +0, not the
     # one the conjugation leaves
     sums[size:] = np.conjugate(sums[size:]) + 0.0
-    # each point's row of the tables: its nearest shift -n, or the zero row
+    # each point's row of the table: its nearest shift -n, or the zero row
     at = np.searchsorted(shifts, -n)
     at[np.append(shifts, 0)[at] != -n] = len(shifts)
     c = coeffs[at]
@@ -214,17 +210,20 @@ def fourier_transform_star(spec: PotentialSpec, lam):
 
 @lru_cache(maxsize=256)
 def _autocorr_tables(spec: PotentialSpec):
-    """Per-shift coefficient tables for the autocorrelation transform.
+    """The ascending shifts j and the transform kernel's table, built once
+    per potential: row j holds F, CE and CF at shift j, and a last row of
+    zeros serves a point whose nearest shift is no shift.
 
-    With v = sum_m a_m e^{2imx}, the one-sided autocorrelation
-    g(x) = integral_x^pi v(t-x) v(t) dt collapses onto the primitives as
+    With v = sum_m a_m e^{2imx}, F's column is a_{-j}, and the one-sided
+    autocorrelation g(x) = integral_x^pi v(t-x) v(t) dt collapses onto the
+    primitives as
 
         AC(lam) = sum_j CE[j] * U(lam + 2j) + CF[j] * X(lam + 2j),
 
     and the O(K^2) pair interactions a_m a_n / (2i(m+n)) are folded into CE
     once per spec, by row (shift m) and column (shift -n) sums. The shifts
     are the potential's own frequencies, a set symmetric about 0 for a real
-    potential, so reversing a table pairs m with -m.
+    potential, so reversing a column pairs m with -m.
     """
     ms, amps = exp_coefficients(spec)
     order = np.argsort(ms)
@@ -237,7 +236,7 @@ def _autocorr_tables(spec: PotentialSpec):
     ce = _PI * b + c.sum(axis=1) - c.sum(axis=0)[::-1]
     # real potential: CE[-j] = conj(CE[j]), imposed exactly
     ce = 0.5 * (ce + np.conj(ce[::-1]))
-    return shifts, ce, -b
+    return shifts, np.concatenate([np.stack([a[::-1], ce, -b], axis=1), np.zeros((1, 3))])
 
 
 def autocorr_transform(spec: PotentialSpec, lam):
@@ -277,27 +276,26 @@ def _canonical(lam):
 
 
 def _char_parts(op, arr):
-    """(D, D0, mu, kernel) on a complex array: the perturbed characteristic
-    function at arr, and the unperturbed one, the canonical member and the
-    kernel output, all at mu = _canonical(arr).
+    """(D, flip, kernel) on a complex array: the perturbed characteristic
+    function at arr, flip where D(arr) = conj(D(mu)), and the kernel output
+    at mu = _canonical(arr), the one pass that D is formed from.
 
     With E(lam) = 1 - e^{-i pi lam} and R(lam) = E(lam){AC(lam) E(-lam) -
     F(lam) F(-lam)}, the perturbed function is D0 + alpha (R(lam) - R(-lam))
-    / (2i lam). Criterion 3's identity AC + AC* = F F* and E(lam) E(-lam) =
-    E(lam) + E(-lam) make R odd, so the odd ratio is R(mu) / (i mu) =
-    U(mu){AC(mu) E(-mu) - F(mu) F(-mu)}, with U the unit integral. There is
-    no 0/0 at the origin, where U = pi. With Im mu <= 0, each factor has the
-    size of the result: on the imaginary axis U, E(mu) and AC(mu) are O(1),
-    E(-mu) and F(-mu) O(e^{pi |Im lam|}).
+    / (2i lam), D0 = E(lam) + E(-lam). Criterion 3's identity AC + AC* = F F*
+    and E(lam) E(-lam) = E(lam) + E(-lam) make R odd, so the odd ratio is
+    R(mu) / (i mu) = U(mu){AC(mu) E(-mu) - F(mu) F(-mu)}, with U the unit
+    integral. There is no 0/0 at the origin, where U = pi. With Im mu <= 0,
+    each factor has the size of the result: on the imaginary axis U, E(mu)
+    and AC(mu) are O(1), E(-mu) and F(-mu) O(e^{pi |Im lam|}).
     """
     mu, flip = _canonical(arr)
     kernel = _transforms(op.potential, mu)
     (e, e_neg), (f, f_neg), (ac, _) = kernel
     with np.errstate(over="ignore", invalid="ignore"):
-        d0 = e_neg + e
-        d = d0 + op.alpha * _unit_integral(mu, e) * (ac * e_neg - f * f_neg)
+        d = e_neg + e + op.alpha * _unit_integral(mu, e) * (ac * e_neg - f * f_neg)
     _in_float_range("perturbed characteristic function", arr, d)
-    return np.where(flip, np.conj(d), d), d0, mu, kernel
+    return np.where(flip, np.conj(d), d), flip, kernel
 
 
 def char_perturbed(op: OperatorSpec, lam):
@@ -310,37 +308,23 @@ def char_perturbed(op: OperatorSpec, lam):
     return out[0] if scalar else out
 
 
-def _autocorr_residual(kernel, arr, scalar):
-    """|AC + AC* - F F*| from the kernel output at arr. The potential is
-    real, so row 1 (the values at -lam) holds F* and AC* bit for bit.
-
-    At a scalar lam the residual is formed from kernel[..., 0]: numpy's
-    scalar arithmetic can differ from its array loops in the last bit, and
-    the public transforms return scalars there."""
-    _, (f, f_star), (ac, ac_star) = kernel[..., 0] if scalar else kernel
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.abs((ac + ac_star) - f * f_star)
-    return _in_float_range("autocorrelation identity residual", arr, out)
-
-
 def char_with_autocorr_residual(op: OperatorSpec, lam):
     """char_perturbed, char_unperturbed and the autocorrelation identity
-    residual |AC + AC* - F F*| at lam, as (D, D0, residual).
-
-    Where every point is its own canonical member (Re lam >= 0, Im lam <=
-    0), as on diagnostics.identity_grid, the kernel that D is formed from is
-    the one at lam itself, and one kernel pass serves all three. Elsewhere
-    D0 and the residual take a second pass. Each result equals bit for bit
-    the public evaluator's.
+    residual |AC + AC* - F F*| at lam, as (D, D0, residual), all from the
+    kernel pass at the canonical member mu that D is formed from. D0, even
+    and star-symmetric like D, is conjugated where D is. The residual takes
+    one value on {+-lam, +-conj(lam)} and is formed at mu, from the -mu row's
+    F* and AC*: on an array of canonical points, as diagnostics.identity_grid,
+    it is the public transforms' residual bit for bit, elsewhere to rounding.
     """
     arr, scalar = _as_lambda_array(lam)
-    d, d0, mu, kernel = _char_parts(op, arr)
-    if not np.array_equal(mu, arr):
-        d0, kernel = char_unperturbed(arr), _transforms(op.potential, arr)
-    residual = _autocorr_residual(kernel, arr, scalar)
-    if scalar:
-        return d[0], d0[0], residual
-    return d, d0, residual
+    d, flip, ((e, e_neg), (f, f_neg), (ac, ac_neg)) = _char_parts(op, arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0 = e_neg + e
+        residual = np.abs((ac + ac_neg) - f * f_neg)
+    _in_float_range("autocorrelation identity residual", arr, residual)
+    d0 = np.where(flip, np.conj(d0), d0)
+    return (d[0], d0[0], residual[0]) if scalar else (d, d0, residual)
 
 
 def secular_function(alpha: float, norms: Mapping[int, float], z):

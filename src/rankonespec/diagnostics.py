@@ -20,6 +20,7 @@ from .spectrum import classify_spectrum, weight_table
 LATTICE_EXCLUSION = 0.05
 GRID_STEP = 0.01
 ORACLE_TOL = 1e-8
+MAX_PLOT_POINTS = 10 ** 6  # most points char_samples takes: lam_max 1e4, a window of 1e8
 
 
 def identity_grid() -> np.ndarray:
@@ -68,8 +69,15 @@ def identity_report_and_rows(op: OperatorSpec):
 def char_samples(op: OperatorSpec, lam_max: float):
     """(lambda, Re perturbed) samples for plotting on (0, lam_max]. The grid
     hits the even integers, where D vanishes; + 0.0 writes each such zero as
-    0, whatever sign the kernel's rounding left on it."""
-    grid = np.arange(GRID_STEP, lam_max + GRID_STEP / 2.0, GRID_STEP)
+    0, whatever sign the kernel's rounding left on it. A grid of more than
+    MAX_PLOT_POINTS points raises OverflowError before it is allocated."""
+    stop = lam_max + GRID_STEP / 2.0
+    points = math.ceil((stop - GRID_STEP) / GRID_STEP)  # np.arange's length
+    if points > MAX_PLOT_POINTS:
+        raise OverflowError(
+            f"plot on (0, {lam_max}] takes {points} points, more than MAX_PLOT_POINTS = {MAX_PLOT_POINTS}"
+        )
+    grid = np.arange(GRID_STEP, stop, GRID_STEP)
     d = np.real(charfn.char_perturbed(op, grid)) + 0.0
     return list(zip(grid.tolist(), d.tolist()))
 

@@ -60,23 +60,25 @@ class SpectralData:
 def check_interlacing(data: SpectralData) -> int:
     """Validate strict alternation of secular roots with active levels.
 
-    Returns the orientation (+1/-1); raises MalformedSpectrumError when the
-    counts disagree or alternation fails. A count mismatch names the window,
-    and one root short says that the root above the top active level lies
-    beyond it: the window cuts the spectrum only from above.
+    Returns the orientation (+1/-1). One root in each gap between the
+    active levels and none outside them is a spectrum that its window cuts
+    below the root above the top level (a window cuts only from above): an
+    input error, ValueError, that names the window and the level. Any other
+    count mismatch, also naming the window, or failed alternation raises
+    MalformedSpectrumError.
     """
     poles = sorted(data.active_levels)
     mus = sorted(data.mus)
     if not poles:
         raise DegenerateOperatorError("no active level in spectral data")
     if len(mus) != len(poles):
-        cut = ""
-        if len(mus) == len(poles) - 1:
-            cut = f"; the root above the top active level {poles[-1]} lies beyond that window"
-        raise MalformedSpectrumError(
+        count = (
             f"expected {len(poles)} secular roots for {len(poles)} active levels, "
-            f"got {len(mus)} within the window {data.window}{cut}"
+            f"got {len(mus)} within the window {data.window}"
         )
+        if len(mus) == len(poles) - 1 and all(p < mu < q for p, mu, q in zip(poles, mus, poles[1:])):
+            raise ValueError(f"{count}; the root above the top active level {poles[-1]} lies beyond that window")
+        raise MalformedSpectrumError(count)
     above = mus[-1] > poles[-1]
     below = mus[0] < poles[0]
     if above == below:
@@ -107,7 +109,7 @@ def weights_from_spectrum(data: SpectralData) -> WeightTable:
     np.fill_diagonal(across, 1.0)  # leaves mu_i - p_i on the diagonal
     residues = np.prod((mus[None, :] - poles[:, None]) / across, axis=1)
     weights = {nearest_level(p): x for p, x in zip(poles.tolist(), residues.tolist())}
-    return WeightTable(weights=weights, alpha=None, active=tuple(weights))
+    return WeightTable(weights=weights, active=tuple(weights))
 
 
 def alpha_and_norms(table: WeightTable) -> tuple[float, dict[int, float]]:
@@ -142,7 +144,7 @@ def weights_from_char_derivative(op: OperatorSpec) -> WeightTable:
     weights = dict(enumerate(x.tolist()))
     alpha = op.alpha
     active = tuple(k for k, w in weights.items() if alpha != 0.0 and abs(w / alpha) > WEIGHT_FLOOR)
-    return WeightTable(weights=weights, alpha=alpha, active=active)
+    return WeightTable(weights=weights, active=active)
 
 
 @dataclass(frozen=True)
@@ -270,7 +272,8 @@ def check_admissibility(data: SpectralData) -> AdmissibilityReport:
     carry the orientation's sign. Every factor (mu_j - p_i)/(p_j - p_i),
     j != i, is positive, mu_i - p_i has the orientation's sign, and an IEEE
     difference of two distinct floats keeps its exact sign; so does their
-    sum, alpha.
+    sum, alpha. A spectrum cut below its exterior root is no verdict but an
+    input error, and its ValueError passes through (see check_interlacing).
     """
     try:
         table = weights_from_spectrum(data)

@@ -143,12 +143,10 @@ class WeightTable:
 
     weights maps every represented level k to X_k (zeros kept for inactive
     levels of a forward table); active lists the levels whose projection norm
-    exceeds the floor. alpha is None for tables recovered from spectra alone,
-    where only the products X_k are known.
+    exceeds the floor. The active weights carry the coupling's sign.
     """
 
     weights: dict[int, float]
-    alpha: Optional[float]
     active: tuple[int, ...]
 
 
@@ -156,7 +154,7 @@ def weight_table(op: OperatorSpec) -> WeightTable:
     norms = op.potential.level_norms()
     weights = {k: op.alpha * n for k, n in sorted(norms.items())}
     active = tuple(k for k in sorted(norms) if norms[k] > WEIGHT_FLOOR)
-    return WeightTable(weights=weights, alpha=op.alpha, active=active)
+    return WeightTable(weights=weights, active=active)
 
 
 def secular_roots(table: WeightTable, z_window: float) -> list[float]:
@@ -164,24 +162,22 @@ def secular_roots(table: WeightTable, z_window: float) -> list[float]:
 
     Exactly one root lies in each open gap between consecutive active poles;
     one more sits above the top pole for positive coupling, below the bottom
-    pole for negative coupling. Negative coupling is solved mirrored: z -> -z
-    gives positive weights with the exterior root on top. The poles 4k^2
-    differ by exact integers, which numerics.secular_equation_roots needs to
-    solve every root at once, each as an offset from its nearer pole, to
-    within about an ulp.
+    pole for negative coupling, the sign the active weights share. Negative
+    coupling is solved mirrored: z -> -z gives positive weights with the
+    exterior root on top. The poles 4k^2 differ by exact integers, which
+    numerics.secular_equation_roots needs to solve every root at once, each
+    as an offset from its nearer pole, to within about an ulp.
     """
     if not table.active:
         raise DegenerateOperatorError(
             "no active level: spectrum equals the unperturbed one"
         )
-    alpha = table.alpha
-    if alpha is None:
-        alpha = math.copysign(1.0, sum(table.weights[k] for k in table.active))
-    if alpha == 0.0:
+    x = [table.weights[k] for k in table.active]
+    if not any(x):
         raise DegenerateOperatorError("zero coupling: operator is unperturbed")
     if z_window <= level_value(max(table.active)):
         raise ValueError("window must exceed the largest active pole")
-    sign = 1.0 if alpha > 0 else -1.0
+    sign = 1.0 if max(x) > 0.0 else -1.0
     levels = sorted(table.active, reverse=sign < 0)
     x = [sign * table.weights[k] for k in levels]
     if min(x) <= 0.0:
@@ -219,8 +215,7 @@ def classify_spectrum(op: OperatorSpec, z_window: float) -> ClassifiedSpectrum:
     for k in sorted(active):
         if k == 0:
             continue  # active constant level loses its only eigenvalue
-        if level_value(k) <= z_window:
-            entries.append(SpectrumEntry(level_value(k), 1))
+        entries.append(SpectrumEntry(level_value(k), 1))
     entries.sort(key=lambda e: e.z)
     return ClassifiedSpectrum(entries=tuple(entries), window=float(z_window))
 

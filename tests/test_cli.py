@@ -77,6 +77,23 @@ def test_forward_plot_writes_no_negative_zero(tmp_path):
     assert not [f for f in fields if f.startswith("-0") and float(f) == 0.0]
 
 
+def test_forward_plot_beyond_its_point_bound_exits_2(tmp_path, const_op_file, monkeypatch):
+    # the bound is checked before anything is sampled; window 40 samples
+    # (0, sqrt(40)] on 632 points, window 41 on 640
+    monkeypatch.setattr(diagnostics, "MAX_PLOT_POINTS", 632)
+    out = tmp_path / "spec.json"
+    argv = ["forward", "--input", str(const_op_file), "--output", str(out), "--emit-plot", "--window"]
+    assert main(argv + ["40"]) == 0
+    assert len((tmp_path / "spec.csv").read_text().splitlines()) == 633
+    (tmp_path / "spec.csv").unlink()
+    monkeypatch.setattr(charfn, "char_perturbed", None)  # D is never sampled
+    assert main(argv + ["41"]) == 2
+    payload = read_json(out)
+    assert payload["error"] == "OverflowError"
+    assert "640 points, more than MAX_PLOT_POINTS = 632" in payload["detail"]["message"]
+    assert not (tmp_path / "spec.csv").exists()
+
+
 def test_validate(tmp_path, const_op_file):
     out = tmp_path / "report.json"
     rc = main(["validate", "--input", str(const_op_file), "--output", str(out), "--emit-plot"])
@@ -398,18 +415,54 @@ _ALPHA_50 = {"alpha": 50.0, "potential": {
 }}
 
 
+_CUT_AT_40 = (
+    "expected 3 secular roots for 3 active levels, got 2 within the window 40.0; "
+    "the root above the top active level 16.0 lies beyond that window"
+)
+
+
 def test_synth_detail_names_the_window_that_cuts_the_exterior_root(tmp_path):
     # at alpha = 50 the exterior secular root lies in (16, 66], beyond the
-    # window 40
+    # window 40: an input error, not a rejected spectrum
     op_path = tmp_path / "op.json"
     op_path.write_text(json.dumps(_ALPHA_50))
     spec_path, out = tmp_path / "spec.json", tmp_path / "synth.json"
     assert main(["forward", "--input", str(op_path), "--output", str(spec_path), "--window", "40"]) == 0
     assert read_json(spec_path)["window"] == 40.0
-    main(["synth", "--input", str(spec_path), "--output", str(out)])
-    assert read_json(out)["report"]["detail"] == (
-        "expected 3 secular roots for 3 active levels, got 2 within the window 40.0; "
-        "the root above the top active level 16.0 lies beyond that window"
+    assert main(["synth", "--input", str(spec_path), "--output", str(out)]) == 2
+    assert read_json(out) == {"error": "ValueError", "detail": {"message": _CUT_AT_40}}
+
+
+def test_inverse_on_a_cut_spectrum_exits_2_naming_the_window(tmp_path):
+    op = OperatorSpec.from_dict(_ALPHA_50)
+    w, what = companions(op.potential, 2)
+    record = {"K": 2}
+    for key, pot in (("base", op.potential), ("shifted", w), ("squared", what)):
+        record[key] = classify_spectrum(OperatorSpec(op.alpha, pot), 40.0).to_dict()
+    inp, out = tmp_path / "three.json", tmp_path / "rec.json"
+    inp.write_text(dumps_canonical(record))
+    assert main(["inverse", "--input", str(inp), "--output", str(out)]) == 2
+    assert read_json(out) == {"error": "ValueError", "detail": {"message": _CUT_AT_40}}
+
+
+def test_synth_rejects_a_spectrum_without_an_interior_root(tmp_path):
+    # one root short, but the missing root is the one between levels 1 and
+    # 2, not the exterior one: the roots do not interlace, and synth
+    # rejects the spectrum (exit 1) with MalformedSpectrumError's detail
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps(_ALPHA_50))
+    spec_path, out = tmp_path / "spec.json", tmp_path / "synth.json"
+    assert main(["forward", "--input", str(op_path), "--output", str(spec_path)]) == 0
+    record = read_json(spec_path)
+    secular = [e["z"] for e in record["entries"] if e["tag"] == "secular"]
+    assert len(secular) == 3 and 4.0 < secular[1] < 16.0 < secular[2]
+    record["entries"] = [e for e in record["entries"] if e["z"] != secular[1]]
+    spec_path.write_text(dumps_canonical(record))
+    assert main(["synth", "--input", str(spec_path), "--output", str(out)]) == 1
+    report = read_json(out)["report"]
+    assert report["accepted"] is False
+    assert report["detail"] == (
+        f"expected 3 secular roots for 3 active levels, got 2 within the window {record['window']}"
     )
 
 

@@ -78,7 +78,7 @@ class TestWeightTable:
     def test_norms_sum_to_potential_norm(self, rng):
         op = random_operator(rng)
         t = weight_table(op)
-        assert sum(t.weights.values()) / t.alpha == pytest.approx(op.potential.norm_sq, abs=1e-12)
+        assert sum(t.weights.values()) / op.alpha == pytest.approx(op.potential.norm_sq, abs=1e-12)
 
 
 class TestSecularRoots:
@@ -126,14 +126,13 @@ class TestSecularRoots:
                 assert all(bounds[j] < roots[j] < bounds[j + 1] for j in range(len(roots)))
 
     def test_recovered_table_gives_back_the_roots(self, rng):
-        # a table recovered from a spectrum has no alpha: the coupling's
-        # sign comes from the summed weights
+        # a table recovered from a spectrum holds only the Loewner residues:
+        # the coupling's sign comes from the weights, as for every table
         for _ in range(20):
             op = random_operator(rng, max_order=12)
             window = level_value(op.potential.K + 2)
             data = SpectralData.from_classified(classify_spectrum(op, window))
             table = weights_from_spectrum(data)
-            assert table.alpha is None
             roots = np.array(secular_roots(table, window))
             mus = np.array(data.mus)
             assert roots.shape == mus.shape
@@ -153,9 +152,7 @@ class TestSecularRoots:
 
 def _table(alpha, norms):
     levels = tuple(sorted(norms))
-    return WeightTable(
-        weights={k: alpha * norms[k] for k in levels}, alpha=alpha, active=levels
-    )
+    return WeightTable(weights={k: alpha * norms[k] for k in levels}, active=levels)
 
 
 def _draw_table(rng):
@@ -171,11 +168,11 @@ def _draw_table(rng):
 def _reference_roots(table, mpmath):
     """Secular roots to 50 digits, one per bracket, by the Illinois variant
     of regula falsi on h = (z - lo)(hi - z) q(z) (h = (z - lo) q(z) for the
-    exterior root), which is finite at the poles. Negative coupling is
-    mirrored (z -> -z), as the roots are."""
+    exterior root), which is finite at the poles. Negative coupling, the
+    weights' sign, is mirrored (z -> -z), as the roots are."""
     mp = mpmath.mp
     mp.dps = 50
-    sign = 1 if table.alpha > 0 else -1
+    sign = _coupling_sign(table)
     levels = sorted(table.active, key=lambda k: sign * k)
     poles = [mp.mpf(sign * 4 * k * k) for k in levels]
     xs = [sign * mp.mpf(table.weights[k]) for k in levels]
@@ -215,10 +212,17 @@ def _reference_roots(table, mpmath):
     return sorted(roots)
 
 
+def _coupling_sign(table):
+    """+1 or -1, the sign that every active weight of the table carries."""
+    signs = {math.copysign(1, table.weights[k]) for k in table.active}
+    assert len(signs) == 1
+    return signs.pop()
+
+
 def _assert_interlaced(table, roots):
     poles = [level_value(k) for k in table.active]
     assert len(roots) == len(poles)
-    if table.alpha > 0:
+    if _coupling_sign(table) > 0:
         bounds = poles + [math.inf]
     else:
         bounds = [-math.inf] + poles
@@ -264,8 +268,17 @@ class TestSecularAccuracy:
             secular_roots(_table(2.0, {0: 0.3, 1: 0.3, 4: 0.4}), 100.0)
 
     def test_weights_against_the_coupling_sign_rejected(self):
-        table = WeightTable(weights={0: 0.5, 1: -0.5}, alpha=1.0, active=(0, 1))
-        with pytest.raises(ValueError):
+        # mixed signs, whatever the summed weight, and a zero beside a
+        # nonzero weight
+        for weights in ({0: 0.5, 1: -0.5}, {0: -0.5, 1: 0.25}, {0: 0.5, 1: 0.0}):
+            table = WeightTable(weights=weights, active=(0, 1))
+            with pytest.raises(ValueError, match="share the coupling's sign"):
+                secular_roots(table, 40.0)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_active_weights_are_zero_coupling(self, zero):
+        table = WeightTable(weights={0: zero, 1: zero, 2: 0.5}, active=(0, 1))
+        with pytest.raises(DegenerateOperatorError, match="zero coupling"):
             secular_roots(table, 40.0)
 
 
@@ -437,7 +450,11 @@ def _verdict(record):
         cs = ClassifiedSpectrum.from_dict(record)
     except MalformedSpectrumError as exc:
         return str(exc)
-    report = check_admissibility(SpectralData.from_classified(cs))
+    try:
+        report = check_admissibility(SpectralData.from_classified(cs))
+    except ValueError as exc:
+        # a record cut below its exterior root is an input error
+        return str(exc)
     return None if report.accepted else report.detail
 
 
