@@ -33,7 +33,8 @@ def _default_window(order: int) -> float:
 def _window(args, op: OperatorSpec) -> float:
     """--window, else the default window of op's order, at least 40, and at
     least 4K^2 + 2 alpha ||v||^2, the top of the exterior root's bracket in
-    numerics._gap_origins, so that for alpha > 0 it holds that root."""
+    numerics.secular_equation_roots, so that for alpha > 0 it holds that
+    root."""
     if args.window is not None:
         return args.window
     pot = op.potential

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConvergenceError
 
 _EPS = float(np.finfo(float).eps)
-_MAX_STEPS = 60  # random levels, |alpha| in [1e-8, 1e8], norms >= 1e-13: at most 11
+_MAX_STEPS = 60  # random levels, |alpha| in [1e-8, 1e8], norms >= 1e-13: at most 13 in 20,000 solves
 
 
 def one_minus_exp(z):
@@ -29,40 +29,6 @@ def secular_eval(poles: np.ndarray, x: np.ndarray, z: np.ndarray):
     terms = x / gaps
     rounding = _EPS * (x.shape[-1] + 2) * (1.0 + np.add.reduce(np.abs(terms), axis=1))
     return 1.0 + np.add.reduce(terms, axis=1), np.add.reduce(terms / gaps, axis=1), rounding
-
-
-def _gap_origins(poles: np.ndarray, x: np.ndarray):
-    """Origin pole, the other pole of its two-pole model, start offset and
-    bracket of every root of the secular function with ascending poles and
-    positive weights.
-
-    The root in gap j is measured from the pole nearer to it (q increases
-    across the gap, so q > 0 at the midpoint puts the root in the lower
-    half), its model's other pole is the gap's other end, and it starts at
-    the midpoint. The exterior root is measured from the top pole, with the
-    pole below as the model's other pole (the top pole itself when it is
-    the only one, whose root the start offset already is). It lies in
-    (p_top, p_top + sum x] because every term is at least -x_k/(z - p_top)
-    there; the bracket is taken twice as wide, so it stays open at the root
-    p_top + sum x of a single pole.
-    """
-    n = len(poles)
-    half = 0.5 * (poles[1:] - poles[:-1])
-    mid = poles[:-1] + half
-    upper = secular_eval(poles, x, mid)[0] < 0.0
-    total = float(np.add.reduce(x))
-    origin = np.arange(n)  # row n - 1 is the exterior root
-    origin[:-1] += upper
-    other = np.arange(n)
-    other[:-1] += ~upper
-    other[-1] = max(n - 2, 0)
-    tau, lo, hi = np.zeros((3, n))
-    tau[:-1] = np.where(upper, -half, half)
-    lo[:-1] = np.where(upper, -half, 0.0)
-    hi[:-1] = np.where(upper, 0.0, half)
-    tau[-1] = total
-    hi[-1] = 2.0 * total
-    return origin, other, tau, lo, hi
 
 
 def _model_roots(t, w, dw, model):
@@ -104,27 +70,50 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Every root is held as an offset tau from the pole nearer to it, so each
     pole difference is exact and q keeps full relative accuracy however
-    close a root is to its pole. All offsets iterate together. Each step is
-    the root of a two-pole rational model of q that keeps the origin pole's
-    weight exact (the fixed-weight method of Bunch-Nielsen-Sorensen and
-    LAPACK's dlaed4); a step pointing away from the root becomes a Newton
-    step, and one leaving the root's sign-change bracket becomes a
-    bisection. A root is done when q there is within its rounding bound or
-    the step is below an ulp of tau; one more Newton step then leaves it
-    within a few ulp of the exact root of the given weights. Each root is
-    clipped to the open interval of its gap, so roots interlace strictly
+    close a root is to its pole. All offsets iterate together, and every
+    evaluation of q makes one step. Each step is the root of a two-pole
+    rational model of q that keeps the origin pole's weight exact (the
+    fixed-weight method of Bunch-Nielsen-Sorensen and LAPACK's dlaed4); a
+    step pointing away from the root becomes a Newton step, and one leaving
+    the root's sign-change bracket becomes a bisection. A root is done when
+    q there is within its rounding bound or the step is below an ulp of
+    tau; its result is the Newton step from the evaluation it finished on,
+    which recentres a root stopped anywhere in its rounding band. Each root
+    is clipped to the open interval of its gap, so roots interlace strictly
     with the poles even when tau is below the pole's ulp. Memory is
     O(len(poles)^2).
 
-    At small orders a solve is bound by numpy call overhead, so a step
-    makes about sixty calls: the per-root model constants are formed once,
-    the live roots' arrays are compacted only on steps where some root
-    finishes, and the Newton and bisection branches are formed only for the
-    roots that take them.
+    The first evaluation is at every gap's midpoint, measured from its
+    lower pole, and sum x above the top pole. q increases across a gap, so
+    q < 0 at the midpoint puts the root in the upper half, which moves its
+    row to the upper pole (exact, so q is the same to the bit); the model's
+    other pole is the gap's other end. The exterior root's model has the
+    pole below as its other pole (the top pole itself when it is the only
+    one, whose root the start is). It lies in (p_top, p_top + sum x]
+    because every term is at least -x_k/(z - p_top) there; the bracket is
+    taken twice as wide, so it stays open at the root p_top + sum x of a
+    single pole.
     """
     n = len(poles)
-    origin, other, tau, lo, hi = _gap_origins(poles, x)
-    offsets = poles - poles[origin][:, None]  # exact: integers
+    gap = poles[1:] - poles[:-1]
+    half = 0.5 * gap
+    total = float(np.add.reduce(x))
+    offsets = poles - poles[:, None]  # row j from pole j: exact integers
+    t = np.append(half, total)
+    w, dw, rounding = secular_eval(offsets, x, t)
+    upper = w[:-1] < 0.0
+    rows = np.flatnonzero(upper)
+    offsets[rows] -= gap[rows, None]
+    origin = np.arange(n)  # row n - 1 is the exterior root
+    origin[:-1] += upper
+    other = np.arange(n)
+    other[:-1] += ~upper
+    other[-1] = max(n - 2, 0)
+    t[:-1] = np.where(upper, -half, half)
+    lo, hi = np.zeros((2, n))
+    lo[:-1] = np.where(upper, -half, 0.0)
+    hi[:-1] = np.where(upper, 0.0, half)
+    hi[-1] = 2.0 * total
     live = np.arange(n)
     model = np.empty((6, n))
     model[0] = offsets[live, other]
@@ -134,9 +123,8 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
     model[3] = model[1] * model[0]
     model[4] = 2.0 * model[3]
     model[5] = 4.0 * model[3]
-    t, live_offsets = tau, offsets
+    tau, live_offsets = np.empty(n), offsets
     for _ in range(_MAX_STEPS):
-        w, dw, rounding = secular_eval(live_offsets, x, t)
         lo = np.where(w < 0.0, t, lo)
         hi = np.where(w > 0.0, t, hi)
         step = _model_roots(t, w, dw, model)
@@ -162,26 +150,23 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
                 )
         done = quiet | (np.abs(step - t) <= _EPS * np.abs(step))
         finished = np.count_nonzero(done)
-        if not finished:
-            t = step
-            continue
-        tau[live[done]] = step[done]
-        if finished == done.size:
-            break
-        keep = ~done
-        live, t, live_offsets, lo, hi, model = (
-            live[keep], step[keep], live_offsets[keep], lo[keep], hi[keep], model[:, keep]
-        )
+        if finished:
+            tau[live[done]] = (t - w / dw)[done]
+            if finished == done.size:
+                break
+            keep = ~done
+            live, step, live_offsets, lo, hi, model = (
+                live[keep], step[keep], live_offsets[keep], lo[keep], hi[keep], model[:, keep]
+            )
+        t = step
+        w, dw, rounding = secular_eval(live_offsets, x, t)
     else:
         raise ConvergenceError(
             f"secular solve: {live.size} roots not converged in {_MAX_STEPS} steps"
         )
 
-    # one Newton step from every root's final offset: a root stopped by its
-    # rounding bound can sit anywhere in that band, the step recentres it
-    w, dw, _ = secular_eval(offsets, x, tau)
-    z = poles[origin] + (tau - w / dw)
-    upper = np.empty(n)
-    upper[:-1] = poles[1:]
-    upper[-1] = np.inf
-    return np.minimum(np.maximum(z, np.nextafter(poles, np.inf)), np.nextafter(upper, -np.inf))
+    z = poles[origin] + tau
+    above = np.empty(n)
+    above[:-1] = poles[1:]
+    above[-1] = np.inf
+    return np.minimum(np.maximum(z, np.nextafter(poles, np.inf)), np.nextafter(above, -np.inf))

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from collections import OrderedDict, namedtuple
+from collections import Counter, OrderedDict, namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -63,8 +63,9 @@ class TestStableExponentials:
 
 def reference_secular_roots(poles, x, max_steps=numerics._MAX_STEPS):
     """Reference: the solver as one loop body over fancy-indexed live roots,
-    every branch formed for every root on every step. The package's solver
-    must return the same bits."""
+    every branch formed for every root on every step, and the origins from
+    its own evaluation of q at the gap midpoints. The package's solver must
+    return the same bits."""
     n = len(poles)
     half = 0.5 * np.diff(poles)
     mid = poles[:-1] + half
@@ -110,15 +111,15 @@ def reference_secular_roots(poles, x, max_steps=numerics._MAX_STEPS):
         step = np.where(inside, step, mid)
         quiet = np.abs(w) <= EPS * (n + 2) * (1.0 + np.sum(np.abs(terms), axis=1))
         step = np.where(quiet & ~inside, t, step)
-        tau[live] = step
-        live = live[~(quiet | (np.abs(step - t) <= EPS * np.abs(step)))]
+        # a finished root takes the Newton step from this evaluation
+        done = quiet | (np.abs(step - t) <= EPS * np.abs(step))
+        tau[live] = np.where(done, t - w / dw, step)
+        live = live[~done]
         if live.size == 0:
             break
     else:
         raise ConvergenceError(f"secular solve: {live.size} roots not converged in {max_steps} steps")
-    gaps = offsets - tau[:, None]
-    terms = x / gaps
-    z = poles[origin] + (tau - (1.0 + np.sum(terms, axis=1)) / np.sum(terms / gaps, axis=1))
+    z = poles[origin] + tau
     upper = np.append(poles[1:], np.inf)
     return np.clip(z, np.nextafter(poles, np.inf), np.nextafter(upper, -np.inf))
 
@@ -146,6 +147,27 @@ class TestSecularSolverReference:
             assert got.tobytes() == reference_secular_roots(poles, x).tobytes(), (poles, x)
             sizes.add(len(poles))
         assert {1, 2, 41} <= sizes
+
+    def test_every_evaluation_makes_one_step(self, monkeypatch):
+        # the start's evaluation at the gap midpoints is step one's, and each
+        # root's Newton polish reuses the evaluation it finished on
+        counts = Counter()
+
+        def counting(name):
+            func = getattr(numerics, name)
+
+            def call(*args):
+                counts[name] += 1
+                return func(*args)
+            return call
+
+        for name in ("secular_eval", "_model_roots"):
+            monkeypatch.setattr(numerics, name, counting(name))
+        rng = np.random.default_rng(20261020)
+        for _ in range(300):
+            counts.clear()
+            secular_equation_roots(*_secular_problem(rng))
+            assert counts["secular_eval"] == counts["_model_roots"] > 0, counts
 
     def test_quiet_root_whose_step_leaves_its_bracket(self):
         # the root next to the pole 0 is quiet on a step whose model root
