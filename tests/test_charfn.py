@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,59 @@ def _assert_transforms_match(spec, lam):
 def _assert_kernel_matches(op, lam):
     _assert_transforms_match(op.potential, lam)
     _assert_close(charfn.char_perturbed(op, lam), ref_char_perturbed(op, lam), lam)
+
+
+def _seeded_potential(seed, order, decay=0.0, levels=None):
+    """Unit-norm potential on the given levels (every level 0..order by
+    default), with N(0, 1) coefficients scaled by k^-decay."""
+    rng = np.random.default_rng(seed)
+    levels = range(order + 1) if levels is None else levels
+    scale = {k: float(max(k, 1)) ** -decay for k in levels}
+    c0 = float(rng.standard_normal()) if 0 in levels else 0.0
+    pairs = [(k, *(scale[k] * rng.standard_normal(2))) for k in levels if k]
+    return build_potential(c0, pairs, normalize=True)
+
+
+_TABLE_SPECS = (
+    *(_seeded_potential(30 + order, order) for order in (1, 8, 16, 64)),
+    _seeded_potential(41, 16, levels=(0, 3, 7, 16)),
+    _seeded_potential(42, 32, decay=3.0),
+    build_potential(0.0),
+    CONST,
+)
+
+
+class TestAutocorrTables:
+    @pytest.mark.parametrize("spec", _TABLE_SPECS)
+    def test_against_double_loop(self, spec):
+        shifts, table = charfn._autocorr_tables.__wrapped__(spec)
+        ms, amps = exp_coefficients(spec)
+        ref_ce = _ref_tables(spec)[0]
+        f, ce, cf = table[:-1].T
+        assert np.all(table[-1] == 0.0)
+        a = dict(zip(ms.tolist(), amps))
+        a_neg = np.array([a[-j] for j in shifts.tolist()], dtype=complex)
+        assert f.tobytes() == a_neg.tobytes()
+        assert cf.tobytes() == (-(np.array([a[j] for j in shifts.tolist()]) * a_neg)).tobytes()
+        # the real potential's symmetry holds exactly (CE[0]'s zero imaginary
+        # part is +0, its conjugate's -0)
+        assert np.array_equal(ce[::-1], np.conj(ce))
+        ref = np.array([ref_ce.get(j, 0.0) for j in shifts.tolist()], dtype=complex)
+        bound = 8.0 * np.finfo(float).eps * np.abs(ce).max(initial=0.0)
+        assert np.all(np.abs(ce - ref) <= bound), np.abs(ce - ref).max() / bound
+
+    def test_cold_table_memory_is_one_real_matrix(self):
+        # C and its mask, 9 bytes per pair: about 36 MiB at K = 1024, where
+        # a complex pair matrix would take several times that
+        spec = _seeded_potential(7, 1024)
+        exp_coefficients(spec)
+        tracemalloc.start()
+        try:
+            charfn._autocorr_tables.__wrapped__(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak / 2**20
 
 
 _KERNEL_OPS = (
