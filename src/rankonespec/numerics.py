@@ -20,15 +20,16 @@ def one_minus_exp(z):
     return -np.expm1(np.asarray(z, dtype=complex))
 
 
-def secular_eval(poles: np.ndarray, x: np.ndarray, z: np.ndarray):
-    """For each z: q = 1 + sum_k x_k/(p_k - z), its derivative
-    q' = sum_k x_k/(p_k - z)^2, and eps (n + 2)(1 + sum_k |x_k/(p_k - z)|),
-    the bound on q's rounding error over n poles (n + 2 roundings of terms
-    at most sum |terms| in size). poles may hold one row per z."""
-    gaps = poles - z[:, None]
+def secular_eval(gaps: np.ndarray, x: np.ndarray):
+    """q = 1 + sum_k x_k/(p_k - z), q' = sum_k x_k/(p_k - z)^2 and q's
+    rounding bound eps (n + 2)(1 + sum_k |x_k/(p_k - z)|) over n poles (n + 2
+    roundings of terms at most sum |terms| in size), for each row of gaps
+    p_k - z (a 1-D gaps is one z). q is only as accurate as the gaps the
+    caller forms: exact pole differences less one offset keep it accurate
+    next to a pole."""
     terms = x / gaps
-    rounding = _EPS * (x.shape[-1] + 2) * (1.0 + np.add.reduce(np.abs(terms), axis=1))
-    return 1.0 + np.add.reduce(terms, axis=1), np.add.reduce(terms / gaps, axis=1), rounding
+    rounding = _EPS * (x.shape[-1] + 2) * (1.0 + np.add.reduce(np.abs(terms), axis=-1))
+    return 1.0 + np.add.reduce(terms, axis=-1), np.add.reduce(terms / gaps, axis=-1), rounding
 
 
 def _model_roots(t, w, dw, model):
@@ -68,43 +69,41 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
     differences are exact in floating point and positive weights: one in
     each gap between consecutive poles, then the one above the top pole.
 
-    Every root is held as an offset tau from the pole nearer to it, so each
-    pole difference is exact and q keeps full relative accuracy however
-    close a root is to its pole. All offsets iterate together, and every
-    evaluation of q makes one step. Each step is the root of a two-pole
-    rational model of q that keeps the origin pole's weight exact (the
-    fixed-weight method of Bunch-Nielsen-Sorensen and LAPACK's dlaed4); a
-    step pointing away from the root becomes a Newton step, and one leaving
-    the root's sign-change bracket becomes a bisection. A root is done when
-    q there is within its rounding bound or the step is below an ulp of
-    tau; its result is the Newton step from the evaluation it finished on,
-    which recentres a root stopped anywhere in its rounding band. Each root
-    is clipped to the open interval of its gap, so roots interlace strictly
-    with the poles even when tau is below the pole's ulp. Memory is
-    O(len(poles)^2).
+    Every root is held as its origin, the pole nearer to it, and an offset
+    tau from that pole. Each evaluation forms the gaps p_k - z as the exact
+    pole differences p_k - p_origin less tau, one rounding, so q keeps full
+    relative accuracy however close a root is to its pole. All offsets
+    iterate together, and every evaluation of q makes one step. Each step
+    is the root of a two-pole rational model of q that keeps the origin
+    pole's weight exact (the fixed-weight method of Bunch-Nielsen-Sorensen
+    and LAPACK's dlaed4); a step pointing away from the root becomes a
+    Newton step, and one leaving the root's sign-change bracket becomes a
+    bisection. A root is done when q there is within its rounding bound or
+    the step is below an ulp of tau; its result is the Newton step from the
+    evaluation it finished on, which recentres a root stopped anywhere in
+    its rounding band. Each root is clipped to the open interval of its
+    gap, so roots interlace strictly with the poles even when tau is below
+    the pole's ulp. An evaluation holds at most three (live roots) x
+    len(poles) temporaries at once (the gaps, their terms and one more),
+    and nothing of that size is kept between evaluations.
 
     The first evaluation is at every gap's midpoint, measured from its
     lower pole, and sum x above the top pole. q increases across a gap, so
-    q < 0 at the midpoint puts the root in the upper half, which moves its
-    row to the upper pole (exact, so q is the same to the bit); the model's
-    other pole is the gap's other end. The exterior root's model has the
-    pole below as its other pole (the top pole itself when it is the only
-    one, whose root the start is). It lies in (p_top, p_top + sum x]
-    because every term is at least -x_k/(z - p_top) there; the bracket is
-    taken twice as wide, so it stays open at the root p_top + sum x of a
-    single pole.
+    q < 0 at the midpoint puts the root in the upper half, whose origin is
+    then the upper pole; the model's other pole is the gap's other end.
+    The exterior root's model has the pole below as its other pole (the top
+    pole itself when it is the only one, whose root the start is). It lies
+    in (p_top, p_top + sum x] because every term is at least
+    -x_k/(z - p_top) there; the bracket is taken twice as wide, so it stays
+    open at the root p_top + sum x of a single pole.
     """
     n = len(poles)
-    gap = poles[1:] - poles[:-1]
-    half = 0.5 * gap
+    half = 0.5 * (poles[1:] - poles[:-1])
     total = float(np.add.reduce(x))
-    offsets = poles - poles[:, None]  # row j from pole j: exact integers
     t = np.append(half, total)
-    w, dw, rounding = secular_eval(offsets, x, t)
+    w, dw, rounding = secular_eval(poles - poles[:, None] - t[:, None], x)
     upper = w[:-1] < 0.0
-    rows = np.flatnonzero(upper)
-    offsets[rows] -= gap[rows, None]
-    origin = np.arange(n)  # row n - 1 is the exterior root
+    origin = np.arange(n)  # root n - 1 is the exterior root
     origin[:-1] += upper
     other = np.arange(n)
     other[:-1] += ~upper
@@ -114,16 +113,16 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
     lo[:-1] = np.where(upper, -half, 0.0)
     hi[:-1] = np.where(upper, 0.0, half)
     hi[-1] = 2.0 * total
-    live = np.arange(n)
+    live, base = np.arange(n), poles[origin]
     model = np.empty((6, n))
-    model[0] = offsets[live, other]
+    model[0] = poles[other] - base
     model[1] = x[origin]
     model[2] = -1.0
     model[2, -1] = 1.0  # the exterior root
     model[3] = model[1] * model[0]
     model[4] = 2.0 * model[3]
     model[5] = 4.0 * model[3]
-    tau, live_offsets = np.empty(n), offsets
+    tau = np.empty(n)
     for _ in range(_MAX_STEPS):
         lo = np.where(w < 0.0, t, lo)
         hi = np.where(w > 0.0, t, hi)
@@ -155,11 +154,11 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
             if finished == done.size:
                 break
             keep = ~done
-            live, step, live_offsets, lo, hi, model = (
-                live[keep], step[keep], live_offsets[keep], lo[keep], hi[keep], model[:, keep]
+            live, step, base, lo, hi, model = (
+                live[keep], step[keep], base[keep], lo[keep], hi[keep], model[:, keep]
             )
         t = step
-        w, dw, rounding = secular_eval(live_offsets, x, t)
+        w, dw, rounding = secular_eval(poles - base[:, None] - t[:, None], x)
     else:
         raise ConvergenceError(
             f"secular solve: {live.size} roots not converged in {_MAX_STEPS} steps"

@@ -194,30 +194,20 @@ def classify_spectrum(op: OperatorSpec, z_window: float) -> ClassifiedSpectrum:
     if math.sqrt(z_window) / 2.0 >= MAX_LEVELS:
         raise OverflowError(f"window {z_window} spans more than MAX_LEVELS = {MAX_LEVELS} levels")
     table = weight_table(op)
-    mus = secular_roots(table, z_window)
-
     active = set(table.active)
-    inactive = [k for k in levels_upto(z_window) if k not in active]
-    inactive_set = set(inactive)
-
-    entries: list[SpectrumEntry] = []
-    coincident = set()
-    for mu in mus:
+    # every level in the window less the eigenvalue its weight takes (level
+    # 0 has only one), plus one for each secular root that lands on it
+    mult = {level_value(k): level_multiplicity(k) - (k in active) for k in levels_upto(z_window)}
+    for mu in secular_roots(table, z_window):
         # levels are at least 4 apart: only the nearest can be within
-        # COINCIDENCE_TOL of a root
+        # COINCIDENCE_TOL of a root, and it may lie past the window
         k = nearest_level(mu)
-        if k in inactive_set and abs(mu - level_value(k)) <= COINCIDENCE_TOL:
-            coincident.add(k)
+        if k not in active and level_value(k) in mult and abs(mu - level_value(k)) <= COINCIDENCE_TOL:
+            mult[level_value(k)] += 1
         else:
-            entries.append(SpectrumEntry(mu, 1))
-    for k in inactive:
-        entries.append(SpectrumEntry(level_value(k), level_multiplicity(k) + (k in coincident)))
-    for k in sorted(active):
-        if k == 0:
-            continue  # active constant level loses its only eigenvalue
-        entries.append(SpectrumEntry(level_value(k), 1))
-    entries.sort(key=lambda e: e.z)
-    return ClassifiedSpectrum(entries=tuple(entries), window=float(z_window))
+            mult[mu] = 1
+    entries = tuple(SpectrumEntry(z, m) for z, m in sorted(mult.items()) if m)
+    return ClassifiedSpectrum(entries=entries, window=float(z_window))
 
 
 # --- eigenfunctions -----------------------------------------------------
@@ -306,15 +296,14 @@ def _require_member(op: OperatorSpec, entry: SpectrumEntry) -> None:
     if tag in (SpectrumClass.SECULAR, SpectrumClass.COINCIDENT):
         # q over the active levels: a near-floor inactive level with a
         # positive norm would be a pole at a valid coincident entry
-        poles = np.array([level_value(j) for j in table.active])
+        gaps = np.array([level_value(j) for j in table.active]) - entry.z
         x = np.array([table.weights[j] for j in table.active])
-        (q,), (dq,), (rounding,) = secular_eval(poles, x, np.array([entry.z]))
+        q, dq, rounding = secular_eval(gaps, x)
         q = float(q)
         # a root within reach of z leaves |q(z)| at most reach times the
         # slope of (p - z) q over p - z, p the nearest pole: (p - z) q is
         # smooth at p where q is steep, and at a root the two slopes agree
-        dist = poles - entry.z
-        near = float(dist[np.argmin(np.abs(dist))])
+        near = float(gaps[np.argmin(np.abs(gaps))])
         slope = abs(float(dq) - q / near)
         reach = 8.0 * math.ulp(entry.z)
         if tag is SpectrumClass.COINCIDENT:

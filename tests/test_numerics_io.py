@@ -63,9 +63,10 @@ class TestStableExponentials:
 
 def reference_secular_roots(poles, x, max_steps=numerics._MAX_STEPS):
     """Reference: the solver as one loop body over fancy-indexed live roots,
-    every branch formed for every root on every step, and the origins from
-    its own evaluation of q at the gap midpoints. The package's solver must
-    return the same bits."""
+    every branch formed for every root on every step, the origins from its
+    own evaluation of q at the gap midpoints, and the pole offsets stored as
+    one matrix. The package's solver, which forms its gaps afresh at every
+    evaluation, must return the same bits."""
     n = len(poles)
     half = 0.5 * np.diff(poles)
     mid = poles[:-1] + half
@@ -180,13 +181,10 @@ class TestSecularSolverReference:
         assert got.tobytes() == reference_secular_roots(poles, x).tobytes()
 
     def test_secular_eval(self):
-        # one row of poles for every z, or one row per z, and the direct sums
+        # q, q' and the rounding bound from the gaps p_k - z: the direct sums
         poles, x = np.array([0.0, 4.0, 16.0]), np.array([0.5, 0.25, 2.0])
-        z = np.array([-1.0, 2.5, 9.0])
-        q, dq, rounding = numerics.secular_eval(poles, x, z)
-        rows = numerics.secular_eval(np.tile(poles, (3, 1)), x, z)
-        assert all(np.array_equal(a, b) for a, b in zip((q, dq, rounding), rows))
-        gaps = poles - z[:, None]
+        gaps = poles - np.array([-1.0, 2.5, 9.0])[:, None]
+        q, dq, rounding = numerics.secular_eval(gaps, x)
         assert np.allclose(q, 1.0 + (x / gaps).sum(axis=1), rtol=1e-15, atol=0.0)
         assert np.allclose(dq, (x / gaps ** 2).sum(axis=1), rtol=1e-15, atol=0.0)
         assert np.array_equal(rounding, 5 * EPS * (1.0 + np.abs(x / gaps).sum(axis=1)))

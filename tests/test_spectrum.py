@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,14 +156,30 @@ def _table(alpha, norms):
     return WeightTable(weights={k: alpha * norms[k] for k in levels}, active=levels)
 
 
-def _draw_table(rng):
-    """Random active levels up to K <= 12, |alpha| in [1e-6, 1e6] and level
-    norms in [1e-12, 1], both log-uniform."""
-    order = int(rng.integers(1, 13))
+def _draw_table(rng, max_order=12, decades=6.0, floor=-12.0):
+    """Random active levels up to K <= max_order, |alpha| in
+    [10^-decades, 10^decades] and level norms in [10^floor, 1], both
+    log-uniform."""
+    order = int(rng.integers(1, max_order + 1))
     levels = rng.choice(order + 1, size=int(rng.integers(1, order + 2)), replace=False)
-    alpha = float(10.0 ** rng.uniform(-6.0, 6.0)) * float(rng.choice([-1.0, 1.0]))
-    norms = 10.0 ** rng.uniform(-12.0, 0.0, size=levels.size)
+    alpha = float(10.0 ** rng.uniform(-decades, decades)) * float(rng.choice([-1.0, 1.0]))
+    norms = 10.0 ** rng.uniform(floor, 0.0, size=levels.size)
     return _table(alpha, {int(k): float(n) for k, n in zip(levels, norms)})
+
+
+# the two tables whose roots lay farthest from the exact ones (258, 122
+# and 18.5 ulp) in 8,000 draws of the wide class: alpha and level norms
+_FARTHEST_ROOTS = (
+    (-635083.0556390694, {0: 1.909564493417196e-09, 3: 2.0454154752084602e-11,
+                          4: 3.0387504806686005e-10, 9: 0.0005107106517101572,
+                          10: 1.365205794074562e-07}),
+    (-922.2617875653673, {1: 7.380710032673612e-07, 2: 4.289886074760351e-09,
+                          9: 0.3284382592506227, 11: 0.0005762216198109807,
+                          13: 0.00024013138423207826, 15: 5.396438551459742e-13,
+                          16: 4.898770106417657e-10, 20: 0.029424833457844825,
+                          24: 6.937987221555814e-10, 25: 6.054309379027481e-09,
+                          27: 9.228653885765028e-06, 29: 0.016695109829732987}),
+)
 
 
 def _reference_roots(table, mpmath):
@@ -242,6 +259,24 @@ class TestSecularAccuracy:
                 ulp = float(np.spacing(abs(float(want))))
                 assert abs(mpmath.mpf(got) - want) <= 8 * ulp, (table, got, want)
             checked += len(exact)
+
+    def test_within_eight_ulp_and_the_rounding_reach_on_the_wide_class(self):
+        # K <= 40, |alpha| in [1e-8, 1e8] and norms down to 1e-13: a root
+        # where q' is small, next to level 0 under negative coupling, can be
+        # hundreds of ulp off, but never farther than q's rounding bound
+        # moves it, rounding / |q'| at the returned root
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261020)
+        tables = [_draw_table(rng, max_order=40, decades=8.0, floor=-13.0) for _ in range(60)]
+        tables += [_table(alpha, norms) for alpha, norms in _FARTHEST_ROOTS]
+        for table in tables:
+            poles = np.array([level_value(k) for k in table.active])
+            x = np.array([table.weights[k] for k in table.active])
+            exact = _reference_roots(table, mpmath)
+            for got, want in zip(secular_roots(table, math.inf), exact):
+                q, dq, rounding = numerics.secular_eval(poles - got, x)
+                bound = 8 * float(np.spacing(abs(float(want)))) + float(rounding / abs(dq))
+                assert abs(mpmath.mpf(got) - want) <= bound, (table, got, want)
 
     def test_root_next_to_its_pole_keeps_its_offset(self):
         # a tiny weight X_3 puts the root a few ulp above 36, at the offset
@@ -348,6 +383,35 @@ class TestClassify:
             (1, SpectrumClass.SECULAR),
         ]
         assert 0.0 < head[2][0] - 4.0 < 1e-9
+
+    def test_root_beside_a_level_past_the_window_stays_secular(self):
+        # the root alpha lies within COINCIDENCE_TOL below 16, which is past
+        # the window, so no listed level can take it
+        alpha = 16.0 - 1e-10
+        cs = classify_spectrum(OperatorSpec(alpha, CONST), 16.0 - 5e-11)
+        assert entries_as_tuples(cs) == [
+            (4.0, 2, SpectrumClass.UNCHANGED),
+            (alpha, 1, SpectrumClass.SECULAR),
+        ]
+
+    @pytest.mark.parametrize("seed", [1000, 1001])
+    def test_memory_is_three_matrices_of_the_solve(self, seed):
+        # a dense unit-norm potential at K = 1024: one evaluation of q holds
+        # three 1025 x 1025 float temporaries (24 MiB), and the solve keeps
+        # nothing of that size between evaluations
+        rng = np.random.default_rng(seed)
+        alpha = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.25, 5.0))
+        c = rng.standard_normal(2 * 1024 + 1)
+        c /= np.linalg.norm(c)
+        pairs = [(k, float(c[2 * k - 1]), float(c[2 * k])) for k in range(1, 1025)]
+        op = OperatorSpec(alpha, build_potential(float(c[0]), pairs))
+        tracemalloc.start()
+        try:
+            classify_spectrum(op, level_value(1025))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2**20, peak / 2**20
 
     def test_json_round_trip(self):
         cs = classify_spectrum(OperatorSpec(0.5, COS2), 40.0)
