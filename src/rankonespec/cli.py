@@ -132,26 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--order": dict(type=int, help="reconstruction order override"),
         "--emit-plot": dict(action="store_true", help="write CSV plot samples next to the output"),
     }
-    # each subcommand takes only the options its handler reads
-    reads = {
-        "forward": ("--window", "--emit-plot"),
-        "inverse": ("--order",),
-        "synth": (),
-        "validate": ("--emit-plot",),
-        "oracle-compare": ("--window",),
+    # each subcommand: its handler, its help and only the options the handler reads
+    commands = {
+        "forward": ("_cmd_forward", "compute and classify the spectrum of an operator", ("--window", "--emit-plot")),
+        "inverse": ("_cmd_inverse", "reconstruct the operator from three spectra", ("--order",)),
+        "synth": ("_cmd_synth", "check admissibility of a spectrum and synthesize an operator", ()),
+        "validate": ("_cmd_validate", "evaluate identity residuals for an operator", ("--emit-plot",)),
+        "oracle-compare": ("_cmd_oracle_compare", "compare solver eigenvalues with the matrix oracle", ("--window",)),
     }
-    specs = {
-        "forward": ("_cmd_forward", "compute and classify the spectrum of an operator"),
-        "inverse": ("_cmd_inverse", "reconstruct the operator from three spectra"),
-        "synth": ("_cmd_synth", "check admissibility of a spectrum and synthesize an operator"),
-        "validate": ("_cmd_validate", "evaluate identity residuals for an operator"),
-        "oracle-compare": ("_cmd_oracle_compare", "compare solver eigenvalues with the matrix oracle"),
-    }
-    for name, (handler, help_text) in specs.items():
+    for name, (handler, help_text, flags) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", help="output JSON path (stdout when omitted)")
-        for flag in reads[name]:
+        for flag in flags:
             p.add_argument(flag, **options[flag])
         p.set_defaults(handler=handler)
     return parser

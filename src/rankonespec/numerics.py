@@ -73,16 +73,16 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
     tau from that pole. Each evaluation forms the gaps p_k - z as the exact
     pole differences p_k - p_origin less tau, one rounding, so q keeps full
     relative accuracy however close a root is to its pole. All offsets
-    iterate together, and every evaluation of q makes one step. Each step
-    is the root of a two-pole rational model of q that keeps the origin
-    pole's weight exact (the fixed-weight method of Bunch-Nielsen-Sorensen
-    and LAPACK's dlaed4); a step pointing away from the root becomes a
-    Newton step, and one leaving the root's sign-change bracket becomes a
-    bisection. A root is done when q there is within its rounding bound or
-    the step is below an ulp of tau; its result is the Newton step from the
-    evaluation it finished on, which recentres a root stopped anywhere in
-    its rounding band. Each root is clipped to the open interval of its
-    gap, so roots interlace strictly with the poles even when tau is below
+    iterate together, and every evaluation of q makes one step but a final one
+    at which every root is quiet. Each step is the root of a two-pole rational
+    model of q that keeps the origin pole's weight exact (the fixed-weight
+    method of Bunch-Nielsen-Sorensen and LAPACK's dlaed4); a step pointing away
+    from the root becomes a Newton step, and one leaving the root's sign-change
+    bracket becomes a bisection. A root is done when q there is within its
+    rounding bound or the step is below an ulp of tau; its result is the Newton
+    step from the evaluation it finished on, which recentres a root stopped
+    anywhere in its rounding band. Each root is clipped to the open interval of
+    its gap, so roots interlace strictly with the poles even when tau is below
     the pole's ulp. An evaluation holds at most three (live roots) x
     len(poles) temporaries at once (the gaps, their terms and one more),
     and nothing of that size is kept between evaluations.
@@ -124,29 +124,27 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
     model[5] = 4.0 * model[3]
     tau = np.empty(n)
     for _ in range(_MAX_STEPS):
+        quiet = np.abs(w) <= rounding  # w within its own rounding error
+        if np.count_nonzero(quiet) == quiet.size:
+            tau[live] = t - w / dw
+            break
         lo = np.where(w < 0.0, t, lo)
         hi = np.where(w > 0.0, t, hi)
         step = _model_roots(t, w, dw, model)
         away = w * (step - t) > 0.0
         if np.count_nonzero(away):
             step[away] = t[away] - w[away] / dw[away]
-        quiet = np.abs(w) <= rounding  # w within its own rounding error
-        inside = (lo < step) & (step < hi)
-        if np.count_nonzero(inside) < inside.size:
-            # a step leaving its bracket: a root whose q is quiet stays where
-            # it is, any other bisects, in the log of |tau| when the bracket
-            # has one sign (a root can sit many decades closer to its pole
-            # than the bracket's far end)
-            stay = quiet & ~inside
-            step[stay] = t[stay]
-            out = ~(inside | quiet)
-            if np.count_nonzero(out):
-                lo_o, hi_o = lo[out], hi[out]
-                span = lo_o * hi_o
-                geometric = np.sqrt(np.abs(span))
-                step[out] = np.where(
-                    span > 0.0, np.where(hi_o > 0.0, geometric, -geometric), 0.5 * (lo_o + hi_o)
-                )
+        out = ~((lo < step) & (step < hi))
+        if np.count_nonzero(out):
+            # a step leaving its bracket bisects, in the log of |tau| when the
+            # bracket has one sign (a root can sit many decades closer to its
+            # pole than the bracket's far end)
+            lo_o, hi_o = lo[out], hi[out]
+            span = lo_o * hi_o
+            geometric = np.sqrt(np.abs(span))
+            step[out] = np.where(
+                span > 0.0, np.where(hi_o > 0.0, geometric, -geometric), 0.5 * (lo_o + hi_o)
+            )
         done = quiet | (np.abs(step - t) <= _EPS * np.abs(step))
         finished = np.count_nonzero(done)
         if finished:

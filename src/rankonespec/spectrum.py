@@ -48,8 +48,6 @@ def level_multiplicity(k: int) -> int:
 
 def levels_upto(z_max: float) -> list[int]:
     """Indices k with 4k^2 <= z_max."""
-    if z_max < 0.0:
-        return []
     return list(range(0, int(math.floor(math.sqrt(z_max) / 2.0)) + 1))
 
 
@@ -79,8 +77,8 @@ class SpectrumEntry:
         z, m = self.z, self.multiplicity
         if not math.isfinite(z):
             raise MalformedSpectrumError(f"non-finite eigenvalue z={z}")
-        k = round(math.sqrt(z) / 2.0) if z > 0.0 else 0  # nearest_level, inlined: every entry pays
-        classes =_OFF_LATTICE if z != 4.0 * k * k else _LEVEL_ZERO if k == 0 else _LEVEL
+        k = nearest_level(z)
+        classes = _OFF_LATTICE if z != 4.0 * k * k else _LEVEL_ZERO if k == 0 else _LEVEL
         if m not in classes:
             raise MalformedSpectrumError(f"no spectrum class has z={z} with multiplicity {m!r}")
         object.__setattr__(self, "tag", classes[m])

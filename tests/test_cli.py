@@ -64,6 +64,19 @@ def test_forward_emit_plot(tmp_path, const_op_file):
     assert (tmp_path / "spec.csv").read_text() == reference_csv(["lambda", "char_real"], rows)
 
 
+def test_forward_without_output_writes_to_stdout(tmp_path, const_op_file, monkeypatch, capsys):
+    # the same bytes as --output writes, and the plot as plot.csv in the
+    # working directory
+    out = tmp_path / "spec.json"
+    argv = ["forward", "--input", str(const_op_file), "--window", "40", "--emit-plot"]
+    assert main(argv + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "spec.csv").read_bytes()
+
+
 def test_forward_plot_writes_no_negative_zero(tmp_path):
     # D vanishes at lambda = 2, 4 and 6 on the plot grid, levels 1 and 3
     # inactive; the kernel's sums round two of those zeros to -0
@@ -711,6 +724,10 @@ def test_synth_and_inverse_reject_a_record_that_is_no_spectrum(tmp_path, kind, m
         # int() would read either as 1
         ({"c0": 0.6, "terms": [{"k": 1, "c": 0.64, "s": 0.48}], "K": True}, "malformed potential record"),
         ({"c0": 0.6, "terms": [{"k": "1", "c": 0.64, "s": 0.48}], "K": 1}, "malformed potential record"),
+        ({"c0": 0.6, "terms": [{"k": 0, "c": 0.64, "s": 0.48}], "K": 0}, "must be a positive integer, got 0"),
+        # json reads NaN and Infinity
+        ({"c0": 0.6, "terms": [{"k": 1, "c": math.nan, "s": 0.48}], "K": 1}, "non-finite coefficient at k=1"),
+        ({"c0": -math.inf, "terms": [{"k": 1, "c": 0.64, "s": 0.48}], "K": 1}, "non-finite constant coefficient"),
     ],
     ids=[
         "mismatched-order",
@@ -719,6 +736,9 @@ def test_synth_and_inverse_reject_a_record_that_is_no_spectrum(tmp_path, kind, m
         "fractional-order",
         "bool-order",
         "string-index",
+        "index-zero",
+        "nan-coefficient",
+        "infinite-c0",
     ],
 )
 def test_forward_malformed_potential_exits_2(tmp_path, potential, message):
@@ -746,6 +766,27 @@ def test_forward_bool_or_string_float_exits_2(tmp_path, alpha, c0, c, s):
     payload = read_json(out)
     assert payload["error"] == "ValueError"
     assert "malformed" in payload["detail"]["message"]
+
+
+def test_forward_non_finite_alpha_exits_2(tmp_path):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"alpha": math.inf, "potential": {"c0": 1.0, "terms": [], "K": 0}}))
+    out = tmp_path / "out.json"
+    assert main(["forward", "--input", str(path), "--output", str(out)]) == 2
+    assert read_json(out) == {"error": "ValueError", "detail": {"message": "coupling constant must be finite"}}
+
+
+def test_synth_rejects_an_unperturbed_spectrum(tmp_path):
+    # levels 0, 1 and 2 with their full multiplicities: no level is active
+    entries = [{"z": 0.0, "m": 1, "tag": "unchanged"}]
+    entries += [{"z": z, "m": 2, "tag": "unchanged"} for z in (4.0, 16.0)]
+    inp, out = tmp_path / "spec.json", tmp_path / "synth.json"
+    inp.write_text(json.dumps({"window": 16.0, "entries": entries}))
+    assert main(["synth", "--input", str(inp), "--output", str(out)]) == 1
+    payload = read_json(out)
+    assert payload["report"]["accepted"] is False
+    assert payload["report"]["detail"] == "no active level in spectral data"
+    assert payload["operator"] is None
 
 
 def test_inverse_negative_order_exits_2(tmp_path):

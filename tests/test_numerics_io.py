@@ -150,30 +150,54 @@ class TestSecularSolverReference:
         assert {1, 2, 41} <= sizes
 
     def test_every_evaluation_makes_one_step(self, monkeypatch):
-        # the start's evaluation at the gap midpoints is step one's, and each
-        # root's Newton polish reuses the evaluation it finished on
-        counts = Counter()
+        # one step per evaluation, except a final evaluation at which every
+        # live root is quiet: each root's Newton polish reuses the evaluation
+        # it finished on, so a step from that one would never be read
+        events = []
+        secular_eval, model_roots = numerics.secular_eval, numerics._model_roots
 
-        def counting(name):
-            func = getattr(numerics, name)
+        def evaluation(*args):
+            w, dw, rounding = secular_eval(*args)
+            events.append("E" if np.all(np.abs(w) <= rounding) else "e")
+            return w, dw, rounding
 
-            def call(*args):
-                counts[name] += 1
-                return func(*args)
-            return call
+        def step(*args):
+            events.append("m")
+            return model_roots(*args)
 
-        for name in ("secular_eval", "_model_roots"):
-            monkeypatch.setattr(numerics, name, counting(name))
+        monkeypatch.setattr(numerics, "secular_eval", evaluation)
+        monkeypatch.setattr(numerics, "_model_roots", step)
         rng = np.random.default_rng(20261020)
+        endings = Counter()
         for _ in range(300):
-            counts.clear()
+            events.clear()
             secular_equation_roots(*_secular_problem(rng))
-            assert counts["secular_eval"] == counts["_model_roots"] > 0, counts
+            trail = "".join(events)
+            assert re.fullmatch(r"(em)*E?", trail), trail
+            endings[trail[-1]] += 1
+        assert endings["E"] > 0, endings
+
+    def test_linear_model_root(self):
+        # the exterior root's first model has c == 0, a linear model whose
+        # one root is b/a; the roots of q are those of
+        # z^2 - (4 + x0 + x1) z + 4 x0
+        mpmath = pytest.importorskip("mpmath")
+        poles = np.array([0.0, 4.0])
+        x = np.array([1.0459752011547161e-16, 2.9740723900431203e-16])
+        got = secular_equation_roots(poles, x)
+        assert got.tobytes() == reference_secular_roots(poles, x).tobytes()
+        with mpmath.workdps(50):
+            x0, x1 = mpmath.mpf(x[0]), mpmath.mpf(x[1])
+            b, c = 4 + x0 + x1, 4 * x0
+            top = (b + mpmath.sqrt(b * b - 4 * c)) / 2
+            for z, exact in zip(got, (c / top, top)):
+                assert abs(mpmath.mpf(float(z)) - exact) <= np.spacing(float(exact)), (z, exact)
 
     def test_quiet_root_whose_step_leaves_its_bracket(self):
         # the root next to the pole 0 is quiet on a step whose model root
-        # falls outside its bracket: it must stay, not take that step (about
-        # one table in a thousand of the draws above shows the difference)
+        # falls outside its bracket: it retires with the Newton step from
+        # that evaluation, whatever its model step was (about one table in a
+        # thousand of the draws above has such a root)
         poles = np.array([0.0, 36.0, 64.0, 400.0, 1024.0, 3136.0])
         x = np.array([1.0099179685000886e-17, 1.222238089420998e-12, 9.58684904033303e-06,
                       5.13190364968626e-15, 2.2370586829232365e-10, 1.5262957111215282e-12])

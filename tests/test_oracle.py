@@ -119,6 +119,10 @@ class TestJacobi:
         with pytest.raises(ValueError):
             jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            jacobi_eigenvalues(np.zeros((2, 3)))
+
     @pytest.mark.parametrize("gap, accepted", [(1e-12, True), (1.5e-12, False)])
     @pytest.mark.parametrize("upper", [True, False])
     def test_symmetry_tolerance_edge(self, gap, accepted, upper):

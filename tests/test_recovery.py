@@ -23,7 +23,7 @@ from rankonespec.recovery import (
     weights_from_char_derivative,
     weights_from_spectrum,
 )
-from rankonespec.spectrum import classify_spectrum, weight_table
+from rankonespec.spectrum import WeightTable, classify_spectrum, weight_table
 
 from conftest import random_operator, random_potential
 
@@ -121,6 +121,10 @@ class TestAlphaAndNorms:
         alpha, norms = alpha_and_norms(weights_from_spectrum(d))
         assert alpha == pytest.approx(-2.0, abs=1e-9)
         assert norms[0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_vanishing_weights_rejected(self):
+        with pytest.raises(DegenerateOperatorError, match="all recovered weights vanish"):
+            alpha_and_norms(WeightTable({0: 0.0}, (0,)))
 
 
 class TestRouteAgreement:

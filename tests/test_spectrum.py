@@ -50,8 +50,8 @@ class TestLevels:
         assert [level_multiplicity(k) for k in range(3)] == [1, 2, 2]
 
     def test_nearest_level(self):
-        assert [nearest_level(z) for z in (-3.0, 0.0, 0.9, 1.1, 4.0, 8.9, 9.1)] == [
-            0, 0, 0, 1, 1, 1, 2
+        assert [nearest_level(z) for z in (-3.0, -0.0, 0.0, 0.9, 1.1, 4.0, 8.9, 9.1)] == [
+            0, 0, 0, 0, 1, 1, 1, 2
         ]
 
     def test_separability_gap(self):
