@@ -15,7 +15,7 @@ import numpy as np
 
 from . import charfn, oracle
 from .potential import OperatorSpec
-from .spectrum import classify_spectrum, weight_table
+from .spectrum import classify_spectrum
 
 LATTICE_EXCLUSION = 0.05
 GRID_STEP = 0.01
@@ -33,12 +33,7 @@ def identity_grid() -> np.ndarray:
 def _factorization_residuals(op: OperatorSpec, lam: np.ndarray, d, d0) -> np.ndarray:
     """|d - secular * d0| scaled by max(1, |d|), for the perturbed d and
     unperturbed d0 characteristic functions on lam."""
-    if op.alpha == 0.0:
-        q = 1.0
-    else:
-        table = weight_table(op)
-        norms = {k: x / op.alpha for k, x in table.weights.items()}
-        q = charfn.secular_function(op.alpha, norms, lam * lam)
+    q = charfn.secular_function(op.alpha, op.potential.level_norms(), lam * lam)
     return np.abs(d - q * d0) / np.maximum(1.0, np.abs(d))
 
 

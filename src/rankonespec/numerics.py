@@ -42,17 +42,18 @@ def _model_roots(t, w, dw, model):
     two poles for an interior root (side -1), the one above both for the
     exterior root (side +1). Solving for tau itself, not for a step from t,
     keeps a root next to its pole to full relative accuracy however far t
-    is from it. model holds the per-root rows d_other, x_origin, side, and
-    b = x_origin * d_other times 1, 2 and 4.
+    is from it. model holds the per-root rows d_other, x_origin and side;
+    b = x_origin * d_other is formed here.
     """
-    d_other, x_origin, side, b, b2, b4 = model
+    d_other, x_origin, side = model
+    b = x_origin * d_other
     g = d_other - t
     s_other = g * g * (dw - x_origin / (t * t))
     c = w + x_origin / t - s_other / g
     a = c * d_other + x_origin + s_other
-    root = side * np.sqrt(np.abs(a * a - b4 * c))
+    root = side * np.sqrt(np.abs(a * a - 4.0 * b * c))
     far = a * side >= 0.0  # a + root adds magnitudes
-    num = np.where(far, a + root, b2)
+    num = np.where(far, a + root, 2.0 * b)
     den = np.where(far, 2.0 * c, a - root)
     if np.count_nonzero(c) < c.size:
         # c == 0 on the far side leaves a linear model with the one root
@@ -64,6 +65,7 @@ def _model_roots(t, w, dw, model):
     return num / den
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Roots of q(z) = 1 + sum_k x_k/(p_k - z) for ascending poles whose
     differences are exact in floating point and positive weights: one in
@@ -95,7 +97,8 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
     pole itself when it is the only one, whose root the start is). It lies
     in (p_top, p_top + sum x] because every term is at least
     -x_k/(z - p_top) there; the bracket is taken twice as wide, so it stays
-    open at the root p_top + sum x of a single pole.
+    open at the root p_top + sum x of a single pole. It runs under np.errstate:
+    weights near the float range's ends overflow or divide by zero en route.
     """
     n = len(poles)
     half = 0.5 * (poles[1:] - poles[:-1])
@@ -114,14 +117,11 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
     hi[:-1] = np.where(upper, 0.0, half)
     hi[-1] = 2.0 * total
     live, base = np.arange(n), poles[origin]
-    model = np.empty((6, n))
+    model = np.empty((3, n))
     model[0] = poles[other] - base
     model[1] = x[origin]
     model[2] = -1.0
     model[2, -1] = 1.0  # the exterior root
-    model[3] = model[1] * model[0]
-    model[4] = 2.0 * model[3]
-    model[5] = 4.0 * model[3]
     tau = np.empty(n)
     for _ in range(_MAX_STEPS):
         quiet = np.abs(w) <= rounding  # w within its own rounding error

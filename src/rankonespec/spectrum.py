@@ -108,8 +108,9 @@ class ClassifiedSpectrum:
         if not math.isfinite(window):
             raise MalformedSpectrumError(f"spectrum window {window} is not finite")
         zs = [e.z for e in self.entries]
-        if len(set(zs)) != len(zs):
-            twice = next(z for z in zs if zs.count(z) > 1)
+        last = {z: i for i, z in enumerate(zs)}
+        if len(last) != len(zs):
+            twice = next(z for i, z in enumerate(zs) if last[z] != i)  # the first z listed again
             raise MalformedSpectrumError(f"spectrum lists z={twice} twice")
         if zs and max(zs) > window:
             raise MalformedSpectrumError(f"z={max(zs)} lies beyond the spectrum window {window}")
@@ -301,7 +302,7 @@ def _require_member(op: OperatorSpec, entry: SpectrumEntry) -> None:
         # a root within reach of z leaves |q(z)| at most reach times the
         # slope of (p - z) q over p - z, p the nearest pole: (p - z) q is
         # smooth at p where q is steep, and at a root the two slopes agree
-        near = float(gaps[np.argmin(np.abs(gaps))])
+        near = min(gaps.tolist(), key=abs, default=math.inf)  # q = 1 without an active level
         slope = abs(float(dq) - q / near)
         reach = 8.0 * math.ulp(entry.z)
         if tag is SpectrumClass.COINCIDENT:

@@ -10,7 +10,7 @@ from rankonespec.cli import build_parser, main
 from rankonespec.io import dumps_canonical, read_json
 from rankonespec.potential import OperatorSpec, build_potential, companions
 from rankonespec.recovery import ThreeSpectra, invert_three_spectra
-from rankonespec.spectrum import ClassifiedSpectrum, SpectrumEntry, classify_spectrum, weight_table
+from rankonespec.spectrum import ClassifiedSpectrum, SpectrumEntry, classify_spectrum
 
 from conftest import reference_csv
 from test_api import CLI_OPTIONS
@@ -130,11 +130,7 @@ def _reference_validation(op):
     spec = op.potential
     d = charfn.char_perturbed(op, grid)
     d0 = charfn.char_unperturbed(grid)
-    if op.alpha == 0.0:
-        q = 1.0
-    else:
-        norms = {k: x / op.alpha for k, x in weight_table(op).weights.items()}
-        q = charfn.secular_function(op.alpha, norms, grid * grid)
+    q = charfn.secular_function(op.alpha, spec.level_norms(), grid * grid)
     fact = np.abs(d - q * d0) / np.maximum(1.0, np.abs(d))
     lhs = charfn.autocorr_transform(spec, grid) + charfn.autocorr_transform_star(spec, grid)
     rhs = charfn.fourier_transform(spec, grid) * charfn.fourier_transform_star(spec, grid)

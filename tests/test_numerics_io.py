@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from collections import Counter, OrderedDict, namedtuple
 from fractions import Fraction
 
@@ -203,6 +204,21 @@ class TestSecularSolverReference:
                       5.13190364968626e-15, 2.2370586829232365e-10, 1.5262957111215282e-12])
         got = secular_equation_roots(poles, x)
         assert got.tobytes() == reference_secular_roots(poles, x).tobytes()
+
+    @pytest.mark.parametrize("alpha", [1e200, -1e200, 1e300, -1e300, 1e308, -1e308, 1e-300, -1e-300])
+    def test_extreme_coupling_warns_nothing(self, alpha):
+        # the model's products overflow from |alpha| ~ 1e200 and its
+        # quotients divide by zero below ~ 1e-200, on the way to finite roots
+        poles, x = np.array([0.0, 4.0, 36.0]), abs(alpha) * np.array([0.2, 0.3, 0.5])
+        if alpha < 0.0:
+            poles, x = -poles[::-1], x[::-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = secular_equation_roots(poles, x)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            assert got.tobytes() == reference_secular_roots(poles, x).tobytes()
+        assert np.all(np.isfinite(got))
+        assert np.all(poles < got) and np.all(got[:-1] < poles[1:])
 
     def test_secular_eval(self):
         # q, q' and the rounding bound from the gaps p_k - z: the direct sums

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -472,11 +473,23 @@ class TestSpectrumRecords:
             (20.0, [(4.0, 2)], "1 of the 2 levels"),
             # a window of 1e30 spans 5e14 levels: counted, never listed
             (1e30, [(4.0, 2)], "1 of the 500000000000000 levels"),
+            # the message names the first z listed again
+            (6.0, [(4.5, 1), (5.5, 1), (5.5, 1), (4.5, 1)], "z=4.5 twice"),
         ],
     )
     def test_incomplete_or_overfull_spectrum_rejected(self, window, entries, message):
         with pytest.raises(MalformedSpectrumError, match=message):
             ClassifiedSpectrum(tuple(SpectrumEntry(z, m) for z, m in entries), window)
+
+    def test_repeat_in_a_long_spectrum_found_in_linear_time(self):
+        # one pass over the entries: a count per entry would make 10^10
+        # comparisons here
+        entries = [SpectrumEntry(4.0 * k * k + 1.0, 1) for k in range(100_000)]
+        entries.append(entries[-1])
+        start = time.perf_counter()
+        with pytest.raises(MalformedSpectrumError, match=f"z={entries[-1].z} twice"):
+            ClassifiedSpectrum(tuple(entries), 1e12)
+        assert time.perf_counter() - start < 3.0
 
 
 @st.composite
@@ -768,6 +781,20 @@ class TestEigenfunctionRejection:
                         eigenfunctions(op, off)
                     moved += 1
         assert checked > 2000 and moved > 1000
+
+    @pytest.mark.parametrize(
+        "potential, z, m",
+        [
+            (build_potential(0.0), 5.0, 1),
+            (build_potential(0.0), 16.0, 3),
+            # the only norm, 1e-16, is below the floor
+            (build_potential(0.0, [(1, 1e-8, 0.0)]), 4.0, 3),
+        ],
+    )
+    def test_entry_of_an_operator_without_active_level_rejected(self, potential, z, m):
+        # q = 1 everywhere: no z solves the secular equation
+        with pytest.raises(ValueError, match=f"^z={z} does not solve the secular equation$"):
+            eigenfunctions(OperatorSpec(1.0, potential), SpectrumEntry(z, m))
 
     def test_inactive_level_cannot_be_reduced(self):
         op = OperatorSpec(0.5, COS2)
