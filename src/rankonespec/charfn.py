@@ -173,17 +173,23 @@ def _transforms(spec, lam):
     return out.reshape((3, 2) + shape)
 
 
-def _in_float_range(name, lam, value):
+def _in_float_range(name, lam, value, potential=None, alpha=None):
     """value, unless it is not finite at a finite lam: there, OverflowError
-    naming the function and the limit. Every evaluator grows like
-    e^{pi |Im lam|} and runs under np.errstate, so no warning escapes and
-    only its own result decides, not an intermediate or another row."""
+    naming the function and what sizes it at the first such lam: its growth
+    like e^{pi |Im lam|} off the real axis, and the potential's squared norm
+    (times the coupling alpha, where given) for the evaluators that scale
+    with them. Every evaluator runs under np.errstate, so no warning escapes
+    and only its own result decides, not an intermediate or another row."""
     bad = ~np.isfinite(value) & np.isfinite(lam)
     if np.any(bad):
-        raise OverflowError(
-            f"{name} at lam={lam[bad][0]} exceeds the float range; it grows like "
-            f"e^(pi |Im lam|), past about |Im lam| = {_IMAG_LIMIT:.0f}"
-        )
+        at = lam[bad][0]
+        message = f"{name} at lam={at} exceeds the float range"
+        if at.imag != 0.0:
+            message += f"; it grows like e^(pi |Im lam|), which alone leaves it at |Im lam| = {_IMAG_LIMIT:.0f}"
+        if potential is not None:
+            coupling = "" if alpha is None else f"the coupling {alpha:.3g} times "
+            message += f"; it scales with {coupling}the potential's squared norm {potential.norm_sq:.3g}"
+        raise OverflowError(message)
     return value
 
 
@@ -191,7 +197,7 @@ def _kernel_row(spec, lam, row, sign):
     """One row of the kernel output at lam, shaped like lam."""
     arr, scalar = _as_lambda_array(lam)
     out = _transforms(spec, arr)[row, sign]
-    _in_float_range("Fourier transform" if row == 1 else "autocorrelation transform", arr, out)
+    _in_float_range("Fourier transform" if row == 1 else "autocorrelation transform", arr, out, spec)
     return out[0] if scalar else out.copy()
 
 
@@ -293,7 +299,7 @@ def _char_parts(op, arr):
     (e, e_neg), (f, f_neg), (ac, _) = kernel
     with np.errstate(over="ignore", invalid="ignore"):
         d = e_neg + e + op.alpha * _unit_integral(mu, e) * (ac * e_neg - f * f_neg)
-    _in_float_range("perturbed characteristic function", arr, d)
+    _in_float_range("perturbed characteristic function", arr, d, op.potential, op.alpha)
     return np.where(flip, np.conj(d), d), flip, kernel
 
 
@@ -321,7 +327,7 @@ def char_with_autocorr_residual(op: OperatorSpec, lam):
     with np.errstate(over="ignore", invalid="ignore"):
         d0 = e_neg + e
         residual = np.abs((ac + ac_neg) - f * f_neg)
-    _in_float_range("autocorrelation identity residual", arr, residual)
+    _in_float_range("autocorrelation identity residual", arr, residual, op.potential)
     d0 = np.where(flip, np.conj(d0), d0)
     return (d[0], d0[0], residual[0]) if scalar else (d, d0, residual)
 

@@ -1,5 +1,6 @@
 """Low-level numerical helpers: the stable exponential difference and the
-batched pole-relative solver of the secular equation.
+pole-relative solver of the secular equation, batched over its roots or, for
+a few poles, one root at a time in Python floats.
 
 one_minus_exp accepts scalars or ndarrays and is stable near its removable
 singularity (numpy's expm1 keeps full relative accuracy there).
@@ -7,12 +8,17 @@ singularity (numpy's expm1 keeps full relative accuracy there).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError
 
 _EPS = float(np.finfo(float).eps)
 _MAX_STEPS = 60  # random levels, |alpha| in [1e-8, 1e8], norms >= 1e-13: at most 13 in 20,000 solves
+# numpy's add.reduce sums fewer than 8 contiguous terms left to right (pairwise
+# from 8), so below 8 poles a plain loop forms secular_eval's sums bit for bit
+_FEW_POLES = 8
 
 
 def one_minus_exp(z):
@@ -65,7 +71,6 @@ def _model_roots(t, w, dw, model):
     return num / den
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Roots of q(z) = 1 + sum_k x_k/(p_k - z) for ascending poles whose
     differences are exact in floating point and positive weights: one in
@@ -97,9 +102,88 @@ def secular_equation_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
     pole itself when it is the only one, whose root the start is). It lies
     in (p_top, p_top + sum x] because every term is at least
     -x_k/(z - p_top) there; the bracket is taken twice as wide, so it stays
-    open at the root p_top + sum x of a single pole. It runs under np.errstate:
-    weights near the float range's ends overflow or divide by zero en route.
+    open at the root p_top + sum x of a single pole.
+
+    Below _FEW_POLES poles each root iterates alone in Python floats, with the
+    same IEEE operations in the same order, so the same bits at a fraction of
+    the numpy calls' overhead. Where Python raises on a division by zero that
+    numpy carries as inf or nan (weights near the float range's ends), or a
+    root is not done in _MAX_STEPS steps, the batched route solves it.
     """
+    roots = _few_pole_roots(poles, x) if len(poles) < _FEW_POLES else None
+    return _batched_roots(poles, x) if roots is None else roots
+
+
+def _few_pole_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """secular_equation_roots one root at a time in Python floats, each step
+    _model_roots' with its guards; None where the batched route decides."""
+    p, xs = poles.tolist(), x.tolist()
+    n = len(p)
+    scale = _EPS * (n + 2)
+    total = float(np.add.reduce(x))
+
+    def q(base, t):
+        w = dw = size = -0.0
+        for pk, xk in zip(p, xs):
+            gap = pk - base - t
+            term = xk / gap
+            w += term
+            dw += term / gap
+            size += abs(term)
+        return 1.0 + w, dw, scale * (1.0 + size)
+
+    roots = []
+    try:
+        for i in range(n):
+            t = 0.5 * (p[i + 1] - p[i]) if i < n - 1 else total
+            w, dw, rounding = q(p[i], t)
+            if i == n - 1:  # the exterior root
+                origin, other, side, lo, hi = i, max(n - 2, 0), 1.0, 0.0, 2.0 * total
+            elif w < 0.0:  # in the upper half of its gap
+                origin, other, side, t, lo, hi = i + 1, i, -1.0, -t, -t, 0.0
+            else:
+                origin, other, side, lo, hi = i, i + 1, -1.0, 0.0, t
+            base, x_origin = p[origin], xs[origin]
+            d_other = p[other] - base
+            b = x_origin * d_other
+            for _ in range(_MAX_STEPS):
+                if abs(w) <= rounding:
+                    break
+                if w < 0.0:
+                    lo = t
+                elif w > 0.0:
+                    hi = t
+                g = d_other - t
+                s_other = g * g * (dw - x_origin / (t * t))
+                c = w + x_origin / t - s_other / g
+                a = c * d_other + x_origin + s_other
+                root = side * math.sqrt(abs(a * a - 4.0 * b * c))
+                if a * side >= 0.0:  # a + root adds magnitudes
+                    step = (a + root) / (2.0 * c) if c != 0.0 else b / a
+                else:
+                    step = 2.0 * b / (a - root)
+                if w * (step - t) > 0.0:
+                    step = t - w / dw
+                if not lo < step < hi:
+                    span = lo * hi
+                    step = math.copysign(math.sqrt(span), hi) if span > 0.0 else 0.5 * (lo + hi)
+                if abs(step - t) <= _EPS * abs(step):
+                    break
+                t = step
+                w, dw, rounding = q(base, t)
+            else:
+                return None
+            z = max(base + (t - w / dw), math.nextafter(p[i], math.inf))
+            roots.append(min(z, math.nextafter(p[i + 1] if i < n - 1 else math.inf, -math.inf)))
+    except ZeroDivisionError:
+        return None
+    return np.array(roots)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _batched_roots(poles: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """secular_equation_roots on numpy arrays, all roots at once, under
+    np.errstate: extreme weights overflow or divide by zero en route."""
     n = len(poles)
     half = 0.5 * (poles[1:] - poles[:-1])
     total = float(np.add.reduce(x))

@@ -73,11 +73,11 @@ class PotentialSpec:
 
     @property
     def norm_sq(self) -> float:
-        return self.c0 ** 2 + sum(c * c + s * s for _, c, s in self.pairs)
+        return self.c0 * self.c0 + sum(c * c + s * s for _, c, s in self.pairs)
 
     def level_norms(self) -> dict[int, float]:
         """Squared norm of the projection onto each basis level, by k."""
-        norms = {0: self.c0 ** 2}
+        norms = {0: self.c0 * self.c0}
         for k, c, s in self.pairs:
             norms[k] = c * c + s * s
         return norms
@@ -126,6 +126,11 @@ class OperatorSpec:
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ValueError("coupling constant must be finite")
+        if not math.isfinite(self.potential.norm_sq):
+            raise ValueError(
+                f"potential's squared norm overflows the float range (c0 = {self.potential.c0!r}, "
+                f"K = {self.potential.K})"
+            )
 
     def to_dict(self) -> dict:
         return {"alpha": float(self.alpha), "potential": self.potential.to_dict()}

@@ -142,6 +142,19 @@ class TestCharPerturbed:
         with pytest.raises(OverflowError, match="float range"):
             charfn.char_with_autocorr_residual(op, 230j)
 
+    def test_real_axis_overflow_names_the_coupling_and_the_potential(self):
+        # e^{pi |Im lam|} is 1 on the real axis: the coupling times the
+        # potential's squared norm takes D past the float range there, and
+        # only off the axis does the message name the growth in |Im lam|
+        op = OperatorSpec(1e308, build_potential(1.0, [(1, 0.5, 0.2)]))
+        with pytest.raises(OverflowError, match="float range") as raised:
+            charfn.char_perturbed(op, [0.05])
+        message = str(raised.value)
+        assert "the coupling 1e+308 times the potential's squared norm 1.29" in message
+        assert "Im lam" not in message
+        with pytest.raises(OverflowError, match=r"e\^\(pi \|Im lam\|\)"):
+            charfn.char_perturbed(OperatorSpec(-2.0, CONST), 230j)
+
     def test_every_evaluator_guards_the_float_range(self):
         # each raises OverflowError where its own value leaves the float
         # range; F(-230i) is finite although the kernel's row at +230i

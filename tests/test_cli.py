@@ -747,6 +747,18 @@ def test_forward_malformed_potential_exits_2(tmp_path, potential, message):
     assert message in payload["detail"]["message"]
 
 
+@pytest.mark.parametrize("cmd", ["forward", "validate", "oracle-compare"])
+def test_potential_whose_squared_norm_overflows_exits_2(tmp_path, cmd):
+    # c0^2 leaves the float range for |c0| above about 1.3e154
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"alpha": 0.0, "potential": {"c0": 1e160, "terms": [], "K": 0}}))
+    out = tmp_path / "out.json"
+    assert main([cmd, "--input", str(path), "--output", str(out)]) == 2
+    payload = read_json(out)
+    assert payload["error"] == "ValueError"
+    assert "potential's squared norm overflows the float range (c0 = 1e+160" in payload["detail"]["message"]
+
+
 @pytest.mark.parametrize(
     "alpha, c0, c, s",
     [(True, 0.5, 0.6, 0.3), (1.0, "0.5", 0.6, 0.3), (1.0, 0.5, "0.6", 0.3), (1.0, 0.5, 0.6, True)],

@@ -139,6 +139,17 @@ def _secular_problem(rng):
     return poles, x
 
 
+EXTREME_COUPLINGS = [1e200, -1e200, 1e300, -1e300, 1e308, -1e308, 1e-300, -1e-300]
+
+
+def _extreme_problem(alpha):
+    """A 3-level unit-norm potential's poles and weights at coupling alpha."""
+    poles, x = np.array([0.0, 4.0, 36.0]), abs(alpha) * np.array([0.2, 0.3, 0.5])
+    if alpha < 0.0:
+        poles, x = -poles[::-1], x[::-1]
+    return poles, x
+
+
 class TestSecularSolverReference:
     def test_bit_identical_roots(self):
         rng = np.random.default_rng(20261018)
@@ -151,9 +162,10 @@ class TestSecularSolverReference:
         assert {1, 2, 41} <= sizes
 
     def test_every_evaluation_makes_one_step(self, monkeypatch):
-        # one step per evaluation, except a final evaluation at which every
-        # live root is quiet: each root's Newton polish reuses the evaluation
-        # it finished on, so a step from that one would never be read
+        # one step per evaluation of the batched route, except a final
+        # evaluation at which every live root is quiet: each root's Newton
+        # polish reuses the evaluation it finished on, so a step from that
+        # one would never be read
         events = []
         secular_eval, model_roots = numerics.secular_eval, numerics._model_roots
 
@@ -172,7 +184,7 @@ class TestSecularSolverReference:
         endings = Counter()
         for _ in range(300):
             events.clear()
-            secular_equation_roots(*_secular_problem(rng))
+            numerics._batched_roots(*_secular_problem(rng))
             trail = "".join(events)
             assert re.fullmatch(r"(em)*E?", trail), trail
             endings[trail[-1]] += 1
@@ -205,13 +217,11 @@ class TestSecularSolverReference:
         got = secular_equation_roots(poles, x)
         assert got.tobytes() == reference_secular_roots(poles, x).tobytes()
 
-    @pytest.mark.parametrize("alpha", [1e200, -1e200, 1e300, -1e300, 1e308, -1e308, 1e-300, -1e-300])
+    @pytest.mark.parametrize("alpha", EXTREME_COUPLINGS)
     def test_extreme_coupling_warns_nothing(self, alpha):
         # the model's products overflow from |alpha| ~ 1e200 and its
         # quotients divide by zero below ~ 1e-200, on the way to finite roots
-        poles, x = np.array([0.0, 4.0, 36.0]), abs(alpha) * np.array([0.2, 0.3, 0.5])
-        if alpha < 0.0:
-            poles, x = -poles[::-1], x[::-1]
+        poles, x = _extreme_problem(alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = secular_equation_roots(poles, x)
@@ -245,6 +255,94 @@ class TestSecularSolverReference:
             else:
                 assert secular_equation_roots(poles, x).tobytes() == want.tobytes()
         assert 0 < raised < 60
+
+
+def _left_to_right(terms):
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+class TestFewPoleRoute:
+    """Below numerics._FEW_POLES poles each root iterates in Python floats;
+    its roots are the batched route's, byte for byte."""
+
+    def test_add_reduce_sums_fewer_than_eight_terms_left_to_right(self):
+        # the route's premise: secular_eval's sums over rows of fewer than
+        # _FEW_POLES terms, one row or many, are the left-to-right sums; the
+        # rows span 16 decades, so another order would change some of them
+        rng = np.random.default_rng(8)
+        for n in range(1, numerics._FEW_POLES):
+            rows = rng.standard_normal((200, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (200, n))
+            want = [_left_to_right(row) for row in rows.tolist()]
+            assert np.add.reduce(rows, axis=-1).tolist() == want, n
+            assert [np.add.reduce(rows[i:i + 1], axis=-1)[0] for i in range(len(rows))] == want, n
+            if n >= 3:
+                assert want != [_left_to_right(row[::-1]) for row in rows.tolist()], n
+
+    def test_matches_the_batched_route(self):
+        rng = np.random.default_rng(20261021)
+        drawn = 0
+        for _ in range(2000):
+            poles, x = _secular_problem(rng)
+            if len(poles) >= numerics._FEW_POLES:
+                continue
+            drawn += 1
+            got = numerics._few_pole_roots(poles, x)
+            assert got is not None, (poles, x)
+            assert got.tobytes() == numerics._batched_roots(poles, x).tobytes(), (poles, x)
+        assert drawn > 500
+
+    def test_extreme_couplings_match_or_hand_over(self):
+        # Python raises on the division by zero that numpy carries as inf
+        # at |alpha| = 1e-300; the batched route then solves the problem
+        handed = []
+        for alpha in EXTREME_COUPLINGS:
+            poles, x = _extreme_problem(alpha)
+            got, want = numerics._few_pole_roots(poles, x), numerics._batched_roots(poles, x)
+            if got is None:
+                handed.append(alpha)
+            else:
+                assert got.tobytes() == want.tobytes(), alpha
+            assert secular_equation_roots(poles, x).tobytes() == want.tobytes(), alpha
+        assert handed == [1e-300, -1e-300]
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    def test_step_cap_hands_over(self, monkeypatch, cap):
+        # a root not done in _MAX_STEPS steps hands the problem over, so the
+        # batched route raises its own ConvergenceError
+        monkeypatch.setattr(numerics, "_MAX_STEPS", cap)
+        rng = np.random.default_rng(100 + cap)
+        raised = drawn = 0
+        for _ in range(200):
+            poles, x = _secular_problem(rng)
+            if len(poles) >= numerics._FEW_POLES:
+                continue
+            drawn += 1
+            got = numerics._few_pole_roots(poles, x)
+            try:
+                want = numerics._batched_roots(poles, x)
+            except ConvergenceError:
+                raised += 1
+                assert got is None
+            else:
+                assert got.tobytes() == want.tobytes()
+        assert 0 < raised < drawn
+
+    def test_few_poles_take_the_route(self, monkeypatch):
+        batched = []
+        solve = numerics._batched_roots
+
+        def spy(poles, x):
+            batched.append(len(poles))
+            return solve(poles, x)
+
+        monkeypatch.setattr(numerics, "_batched_roots", spy)
+        rng = np.random.default_rng(20261022)
+        sizes = [len(secular_equation_roots(*_secular_problem(rng))) for _ in range(300)]
+        assert min(sizes) < numerics._FEW_POLES <= max(sizes)
+        assert sorted(batched) == sorted(n for n in sizes if n >= numerics._FEW_POLES)
 
 
 def reference_format_value(obj) -> str:

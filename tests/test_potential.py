@@ -37,6 +37,17 @@ def test_normalization_rescales_all_coefficients():
     assert spec.coefficient(2) == (pytest.approx(0.8), 0.0)
 
 
+def test_overflowing_squares_are_inf_until_an_operator_takes_them():
+    # a bare potential may hold coefficients whose squares overflow; c0 is
+    # squared as the pairs are, and the operator rejects the infinite norm
+    spec = build_potential(1e160, [(1, 1e160, 0.0)])
+    assert spec.level_norms() == {0: math.inf, 1: math.inf}
+    assert spec.norm_sq == math.inf
+    for pot in (spec, build_potential(0.0, [(3, 1e154, 1e154)])):
+        with pytest.raises(ValueError, match="potential's squared norm overflows the float range"):
+            OperatorSpec(0.0, pot)
+
+
 def test_duplicate_harmonics_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         build_potential(0.0, [(1, 1.0, 0.0), (1, 0.0, 1.0)])
