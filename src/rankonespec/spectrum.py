@@ -164,8 +164,8 @@ def secular_roots(table: WeightTable, z_window: float) -> list[float]:
     pole for negative coupling, the sign the active weights share. Negative
     coupling is solved mirrored: z -> -z gives positive weights with the
     exterior root on top. The poles 4k^2 differ by exact integers, which
-    numerics.secular_equation_roots needs to solve every root at once, each
-    as an offset from its nearer pole, to within about an ulp.
+    numerics.secular_equation_roots needs to solve each root as an offset
+    from its nearer pole to within about an ulp.
     """
     if not table.active:
         raise DegenerateOperatorError(

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -757,6 +758,25 @@ def test_potential_whose_squared_norm_overflows_exits_2(tmp_path, cmd):
     payload = read_json(out)
     assert payload["error"] == "ValueError"
     assert "potential's squared norm overflows the float range (c0 = 1e+160" in payload["detail"]["message"]
+
+
+@pytest.mark.parametrize("cmd", ["forward", "oracle-compare"])
+@pytest.mark.parametrize("order", [1, 8])
+def test_weights_summing_beyond_the_float_range_exit_2(tmp_path, cmd, order):
+    # alpha = 1e308 with c0 = 1 and (c, s) = (1, 0.5) at k = 1..order: the
+    # active weights, and with them the exterior root, sum beyond the float
+    # range
+    terms = [{"k": k, "c": 1.0, "s": 0.5} for k in range(1, order + 1)]
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"alpha": 1e308, "potential": {"c0": 1.0, "terms": terms, "K": order}}))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([cmd, "--input", str(path), "--window", "1000", "--output", str(out)]) == 2
+    payload = read_json(out)
+    assert payload["error"] == "OverflowError"
+    assert "beyond the float range" in payload["detail"]["message"]
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize(

@@ -142,16 +142,34 @@ def _secular_problem(rng):
 EXTREME_COUPLINGS = [1e200, -1e200, 1e300, -1e300, 1e308, -1e308, 1e-300, -1e-300]
 
 
-def _extreme_problem(alpha):
-    """A 3-level unit-norm potential's poles and weights at coupling alpha."""
-    poles, x = np.array([0.0, 4.0, 36.0]), abs(alpha) * np.array([0.2, 0.3, 0.5])
+def _extreme_problem(alpha, levels=3):
+    """The poles and weights of a unit-norm potential on 3 levels, or on the
+    levels 0..11, at coupling alpha."""
+    if levels == 3:
+        poles, x = np.array([0.0, 4.0, 36.0]), abs(alpha) * np.array([0.2, 0.3, 0.5])
+    else:
+        poles, x = 4.0 * np.arange(float(levels)) ** 2, abs(alpha) * np.full(levels, 1.0 / levels)
     if alpha < 0.0:
         poles, x = -poles[::-1], x[::-1]
     return poles, x
 
 
+def _spy_reruns(monkeypatch):
+    """The sizes of the solves that ran again on numpy float64 scalars."""
+    reruns, roots = [], numerics._roots
+
+    def spy(poles, x, total, tolist):
+        if tolist is list:
+            reruns.append(len(poles))
+        return roots(poles, x, total, tolist)
+
+    monkeypatch.setattr(numerics, "_roots", spy)
+    return reruns
+
+
 class TestSecularSolverReference:
-    def test_bit_identical_roots(self):
+    def test_bit_identical_roots(self, monkeypatch):
+        reruns = _spy_reruns(monkeypatch)
         rng = np.random.default_rng(20261018)
         sizes = set()
         for _ in range(2000):
@@ -160,33 +178,36 @@ class TestSecularSolverReference:
             assert got.tobytes() == reference_secular_roots(poles, x).tobytes(), (poles, x)
             sizes.add(len(poles))
         assert {1, 2, 41} <= sizes
+        assert reruns == []
 
     def test_every_evaluation_makes_one_step(self, monkeypatch):
-        # one step per evaluation of the batched route, except a final
+        # every live root takes one step per evaluation, except at a final
         # evaluation at which every live root is quiet: each root's Newton
         # polish reuses the evaluation it finished on, so a step from that
-        # one would never be read
+        # one would never be read. An evaluation serves only roots that
+        # stepped from the one before, so it has no more rows than that one
+        # had roots that were not quiet
         events = []
-        secular_eval, model_roots = numerics.secular_eval, numerics._model_roots
+        evaluate = numerics._evaluate
 
         def evaluation(*args):
-            w, dw, rounding = secular_eval(*args)
-            events.append("E" if np.all(np.abs(w) <= rounding) else "e")
+            w, dw, rounding = evaluate(*args)
+            loud = sum(not abs(v) <= bound for v, bound in zip(w, rounding))
+            events.append((len(w), loud))  # rows, and rows not quiet
             return w, dw, rounding
 
-        def step(*args):
-            events.append("m")
-            return model_roots(*args)
-
-        monkeypatch.setattr(numerics, "secular_eval", evaluation)
-        monkeypatch.setattr(numerics, "_model_roots", step)
+        monkeypatch.setattr(numerics, "_evaluate", evaluation)
         rng = np.random.default_rng(20261020)
         endings = Counter()
         for _ in range(300):
             events.clear()
-            numerics._batched_roots(*_secular_problem(rng))
-            trail = "".join(events)
-            assert re.fullmatch(r"(em)*E?", trail), trail
+            poles, x = _secular_problem(rng)
+            numerics.secular_equation_roots(poles, x)
+            rows, loud = zip(*events)
+            trail = "".join("e" if n else "E" for n in loud)
+            assert re.fullmatch(r"e*E?", trail), trail
+            assert rows[0] == len(poles)
+            assert all(0 < after <= before for before, after in zip(loud, rows[1:])), events
             endings[trail[-1]] += 1
         assert endings["E"] > 0, endings
 
@@ -218,17 +239,24 @@ class TestSecularSolverReference:
         assert got.tobytes() == reference_secular_roots(poles, x).tobytes()
 
     @pytest.mark.parametrize("alpha", EXTREME_COUPLINGS)
-    def test_extreme_coupling_warns_nothing(self, alpha):
+    def test_extreme_coupling_warns_nothing(self, monkeypatch, alpha):
         # the model's products overflow from |alpha| ~ 1e200 and its
-        # quotients divide by zero below ~ 1e-200, on the way to finite roots
-        poles, x = _extreme_problem(alpha)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = secular_equation_roots(poles, x)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            assert got.tobytes() == reference_secular_roots(poles, x).tobytes()
-        assert np.all(np.isfinite(got))
-        assert np.all(poles < got) and np.all(got[:-1] < poles[1:])
+        # quotients divide by zero below ~ 1e-200, on the way to finite roots;
+        # Python raises on the division by zero at |alpha| = 1e-300, so the
+        # solve runs again on float64 scalars, on 3 levels, where q's sums
+        # are a plain loop, and on 12, where secular_eval forms them
+        reruns = _spy_reruns(monkeypatch)
+        for levels in (3, 12):
+            poles, x = _extreme_problem(alpha, levels)
+            reruns.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = secular_equation_roots(poles, x)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                assert got.tobytes() == reference_secular_roots(poles, x).tobytes(), levels
+            assert np.all(np.isfinite(got))
+            assert np.all(poles < got) and np.all(got[:-1] < poles[1:])
+            assert reruns == ([levels] if abs(alpha) == 1e-300 else []), levels
 
     def test_secular_eval(self):
         # q, q' and the rounding bound from the gaps p_k - z: the direct sums
@@ -265,8 +293,8 @@ def _left_to_right(terms):
 
 
 class TestFewPoleRoute:
-    """Below numerics._FEW_POLES poles each root iterates in Python floats;
-    its roots are the batched route's, byte for byte."""
+    """Below numerics._FEW_POLES poles q's sums come from a plain loop in
+    Python floats instead of secular_eval, with the same bits."""
 
     def test_add_reduce_sums_fewer_than_eight_terms_left_to_right(self):
         # the route's premise: secular_eval's sums over rows of fewer than
@@ -281,68 +309,31 @@ class TestFewPoleRoute:
             if n >= 3:
                 assert want != [_left_to_right(row[::-1]) for row in rows.tolist()], n
 
-    def test_matches_the_batched_route(self):
-        rng = np.random.default_rng(20261021)
-        drawn = 0
-        for _ in range(2000):
-            poles, x = _secular_problem(rng)
-            if len(poles) >= numerics._FEW_POLES:
-                continue
-            drawn += 1
-            got = numerics._few_pole_roots(poles, x)
-            assert got is not None, (poles, x)
-            assert got.tobytes() == numerics._batched_roots(poles, x).tobytes(), (poles, x)
-        assert drawn > 500
-
-    def test_extreme_couplings_match_or_hand_over(self):
-        # Python raises on the division by zero that numpy carries as inf
-        # at |alpha| = 1e-300; the batched route then solves the problem
-        handed = []
-        for alpha in EXTREME_COUPLINGS:
-            poles, x = _extreme_problem(alpha)
-            got, want = numerics._few_pole_roots(poles, x), numerics._batched_roots(poles, x)
-            if got is None:
-                handed.append(alpha)
-            else:
-                assert got.tobytes() == want.tobytes(), alpha
-            assert secular_equation_roots(poles, x).tobytes() == want.tobytes(), alpha
-        assert handed == [1e-300, -1e-300]
-
-    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
-    def test_step_cap_hands_over(self, monkeypatch, cap):
-        # a root not done in _MAX_STEPS steps hands the problem over, so the
-        # batched route raises its own ConvergenceError
-        monkeypatch.setattr(numerics, "_MAX_STEPS", cap)
-        rng = np.random.default_rng(100 + cap)
-        raised = drawn = 0
-        for _ in range(200):
-            poles, x = _secular_problem(rng)
-            if len(poles) >= numerics._FEW_POLES:
-                continue
-            drawn += 1
-            got = numerics._few_pole_roots(poles, x)
-            try:
-                want = numerics._batched_roots(poles, x)
-            except ConvergenceError:
-                raised += 1
-                assert got is None
-            else:
-                assert got.tobytes() == want.tobytes()
-        assert 0 < raised < drawn
-
     def test_few_poles_take_the_route(self, monkeypatch):
-        batched = []
-        solve = numerics._batched_roots
+        # no secular_eval call below _FEW_POLES poles, and one per evaluation
+        # from _FEW_POLES up
+        calls = Counter()
+        evaluate, secular_eval = numerics._evaluate, numerics.secular_eval
 
-        def spy(poles, x):
-            batched.append(len(poles))
-            return solve(poles, x)
+        def evaluation(*args):
+            calls["evaluations"] += 1
+            return evaluate(*args)
 
-        monkeypatch.setattr(numerics, "_batched_roots", spy)
+        def summed(*args):
+            calls["secular_eval"] += 1
+            return secular_eval(*args)
+
+        monkeypatch.setattr(numerics, "_evaluate", evaluation)
+        monkeypatch.setattr(numerics, "secular_eval", summed)
         rng = np.random.default_rng(20261022)
-        sizes = [len(secular_equation_roots(*_secular_problem(rng))) for _ in range(300)]
+        sizes = set()
+        for _ in range(300):
+            calls.clear()
+            n = len(secular_equation_roots(*_secular_problem(rng)))
+            sizes.add(n)
+            assert calls["evaluations"] > 0
+            assert calls["secular_eval"] == (calls["evaluations"] if n >= numerics._FEW_POLES else 0), n
         assert min(sizes) < numerics._FEW_POLES <= max(sizes)
-        assert sorted(batched) == sorted(n for n in sizes if n >= numerics._FEW_POLES)
 
 
 def reference_format_value(obj) -> str:
